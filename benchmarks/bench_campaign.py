@@ -1,4 +1,4 @@
-"""Campaign-level benchmarks: dataset cache, warm work-queue pool, resume.
+"""Campaign-level benchmarks: dataset cache, work-queue workers, resume.
 
 Standalone (not pytest-benchmark): run ``PYTHONPATH=src python
 benchmarks/bench_campaign.py`` and it writes
@@ -6,19 +6,20 @@ benchmarks/bench_campaign.py`` and it writes
 
 * cold vs warm-disk dataset build time for the small config — the
   speedup a second process gets from ``.repro-cache``;
-* serial (``jobs=1``, spawn pool) vs warm work-queue pool (``jobs=2``,
-  ``pool="warm"``) wall time for a 4-seed campaign over fig02+fig09,
-  with per-seed content hashes so the run doubles as a determinism
+* serial (``jobs=1``, the claim loop in-process) vs two workers
+  (``jobs=2``) on the same work queue: wall time for a 4-seed campaign
+  over fig02+fig09, with per-seed content hashes so the run doubles as a
+  determinism
   check, plus each run's merged-timeline **phase breakdown** (spawn /
   import / claim / wait / dataset-load / compute / merge seconds and
   lane coverage) — the cross-process telemetry makes the campaign
   explain its own wall-clock;
-* a resumed re-run of the warm campaign (``resume=True`` against the
-  same queue) — every seed loads from the published results, so this
+* a resumed re-run of the two-worker campaign (``resume=True`` against
+  the same queue) — every seed loads from the published results, so this
   is the floor for "picking up where an interrupted campaign stopped".
 
 Interpretation keys recorded alongside: ``host.cpu_count`` (on a
-single-core host the parallel pool cannot beat serial; the build gate
+single-core host two workers cannot beat serial; the build gate
 serialises simulations so the *summed* ``dataset-load`` stays within
 1.2x of serial — the honest comparison there), and
 ``dataset_load_ratio`` itself.  ``parallel_speedup > 1.0`` is asserted
@@ -72,20 +73,19 @@ def bench_dataset_cache(workdir: pathlib.Path) -> dict:
     }
 
 
-def _run(label: str, workdir: pathlib.Path, *, jobs: int, pool: str,
+def _run(label: str, workdir: pathlib.Path, *, jobs: int,
          resume: bool = False, cache_dir: pathlib.Path | None = None):
     clear_dataset_cache()
     cache_dir = cache_dir or workdir / f"campaign-cache-{label}"
     start = time.perf_counter()
     result = run_campaign(
         small_config(), seeds=SEEDS, experiments=EXPERIMENTS,
-        jobs=jobs, pool=pool, resume=resume, cache_dir=cache_dir,
+        jobs=jobs, resume=resume, cache_dir=cache_dir,
     )
     wall = time.perf_counter() - start
     timeline = result.timeline
     summary = {
         "jobs": jobs,
-        "pool": pool,
         "wall_seconds": round(wall, 3),
         "per_seed_build_seconds": [
             round(run.build_seconds, 3) for run in result.seed_runs
@@ -95,12 +95,11 @@ def _run(label: str, workdir: pathlib.Path, *, jobs: int, pool: str,
             for name, seconds in timeline.get("phase_totals", {}).items()
         },
         "timeline_coverage": round(timeline.get("coverage", 0.0), 4),
+        "lease_takeovers": result.scheduler["takeovers"],
+        "worker_respawns": result.scheduler["respawns"],
     }
     if resume:
-        summary["resumed_seeds"] = len(result.scheduler.get("resumed_seeds", []))
-    if pool == "warm":
-        summary["lease_takeovers"] = result.scheduler.get("takeovers", 0)
-        summary["worker_respawns"] = result.scheduler.get("respawns", 0)
+        summary["resumed_seeds"] = len(result.scheduler["resumed_seeds"])
     return result, summary, cache_dir
 
 
@@ -110,38 +109,41 @@ def bench_campaign(workdir: pathlib.Path) -> dict:
     cores = os.cpu_count() or 1
     out: dict = {"seeds": SEEDS, "experiments": EXPERIMENTS}
 
-    serial, out["serial"], _ = _run("serial", workdir, jobs=1, pool="spawn")
-    warm, out["warm_pool"], warm_cache = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL, pool="warm"
+    serial, out["serial"], _ = _run("serial", workdir, jobs=1)
+    parallel, out["parallel"], parallel_cache = _run(
+        "parallel", workdir, jobs=JOBS_PARALLEL
     )
-    _, out["warm_resume"], _ = _run(
-        "warm", workdir, jobs=JOBS_PARALLEL, pool="warm",
-        resume=True, cache_dir=warm_cache,
+    _, out["resume"], _ = _run(
+        "parallel", workdir, jobs=JOBS_PARALLEL,
+        resume=True, cache_dir=parallel_cache,
     )
 
     serial_load = out["serial"]["phase_seconds"].get("dataset-load", 0.0)
-    warm_load = out["warm_pool"]["phase_seconds"].get("dataset-load", 0.0)
-    out["dataset_load_ratio"] = round(warm_load / max(serial_load, 1e-9), 3)
+    parallel_load = out["parallel"]["phase_seconds"].get("dataset-load", 0.0)
+    out["dataset_load_ratio"] = round(
+        parallel_load / max(serial_load, 1e-9), 3
+    )
     out["parallel_speedup"] = round(
-        out["serial"]["wall_seconds"] / out["warm_pool"]["wall_seconds"], 2
+        out["serial"]["wall_seconds"] / out["parallel"]["wall_seconds"], 2
     )
     out["resume_speedup"] = round(
-        out["warm_pool"]["wall_seconds"] / out["warm_resume"]["wall_seconds"], 1
+        out["parallel"]["wall_seconds"] / out["resume"]["wall_seconds"], 1
     )
 
     hashes = {run.seed: run.content_hash for run in serial.seed_runs}
     out["serial_parallel_hashes_identical"] = hashes == {
-        run.seed: run.content_hash for run in warm.seed_runs
+        run.seed: run.content_hash for run in parallel.seed_runs
     }
-    assert out["serial_parallel_hashes_identical"], "warm pool broke determinism"
-    assert out["warm_resume"]["resumed_seeds"] == SEEDS, out["warm_resume"]
+    assert out["serial_parallel_hashes_identical"], \
+        "two workers broke determinism"
+    assert out["resume"]["resumed_seeds"] == SEEDS, out["resume"]
     assert out["dataset_load_ratio"] <= MAX_DATASET_LOAD_RATIO, (
         f"summed dataset-load {out['dataset_load_ratio']}x serial exceeds "
         f"{MAX_DATASET_LOAD_RATIO}x: the build gate is not serialising builds"
     )
     if cores > 1:
         assert out["parallel_speedup"] > 1.0, (
-            f"warm pool slower than serial on a {cores}-core host"
+            f"two workers slower than serial on a {cores}-core host"
         )
     return out
 
@@ -152,7 +154,7 @@ def main() -> None:
     workdir = pathlib.Path(tempfile.mkdtemp(prefix="bench-campaign-"))
     try:
         payload = {
-            "schema_version": 3,
+            "schema_version": 4,
             "host": {"cpu_count": os.cpu_count()},
             "dataset_cache": bench_dataset_cache(workdir),
             "campaign": bench_campaign(workdir),

@@ -216,17 +216,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="per-seed progress heartbeats on stderr "
                                    "every SECONDS of simulated time "
                                    "(default: off)")
-    campaign_run.add_argument("--pool", choices=("warm", "spawn"),
-                              default="warm",
-                              help="execution substrate: 'warm' (default) is "
-                                   "the resumable work-queue scheduler with "
-                                   "persistent workers; 'spawn' the one-shot "
-                                   "per-seed process pool")
     campaign_run.add_argument("--resume", action="store_true",
                               help="honour results published by a previous "
                                    "(possibly interrupted) run of this exact "
-                                   "campaign; only missing seeds are computed "
-                                   "(warm pool only)")
+                                   "campaign; only missing seeds are computed")
     campaign_run.add_argument("--lease-ttl", type=float, default=None,
                               metavar="SECONDS",
                               help="work-unit lease time-to-live; a worker "
@@ -673,9 +666,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
               f"{completed}/{total}{eta}",
               file=sys.stderr, flush=True)
 
-    if args.resume and args.pool != "warm":
-        print("--resume requires --pool warm", file=sys.stderr)
-        return 2
     tele = Telemetry()
     result = run_campaign(
         config,
@@ -687,7 +677,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         disk_cache=False if args.no_disk_cache else True,
         progress=report_progress,
         heartbeat_interval=args.heartbeat,
-        pool=args.pool,
         resume=args.resume,
         lease_ttl=args.lease_ttl,
     )
@@ -736,12 +725,11 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             str(unit["seed"]),
             unit["fingerprint"][:12],
             unit["state"],
-            "yes" if unit["shm"] else "",
             holder,
         ))
     print(format_table(
         "work units", rows,
-        headers=("seed", "fingerprint", "state", "shm", "lease"),
+        headers=("seed", "fingerprint", "state", "lease"),
     ))
     counts = status["counts"]
     total = sum(counts.values())

@@ -30,7 +30,7 @@ from . import (
     tomography_study,
     topo_study,
 )
-from . import scheduler, shm
+from . import scheduler
 from .cache import (
     DatasetDiskCache,
     config_fingerprint,
@@ -96,7 +96,6 @@ __all__ = [
     "campaign_manifest",
     "render_campaign_report",
     "scheduler",
-    "shm",
     "DEFAULT_LEASE_TTL",
     "campaign_queue_id",
     "queue_status",

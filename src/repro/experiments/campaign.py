@@ -4,13 +4,15 @@ The paper's headline statistics come from one two-month campaign on one
 cluster; a reproduction can do better by repeating the campaign over
 many seeds and reporting the distribution.  :func:`run_campaign` builds
 the dataset and runs a selected set of registered experiments for each
-seed — serially, or fanned across a ``spawn`` :class:`ProcessPoolExecutor`
-with ``jobs`` workers — then aggregates every numeric summary metric
-into mean / sample stdev / normal-approximation 95% CI rows.
+seed through the resumable work queue of
+:mod:`~repro.experiments.scheduler` — in-process for ``jobs=1``, across
+``jobs`` persistent workers otherwise — then aggregates every numeric
+summary metric into mean / sample stdev / normal-approximation 95% CI
+rows.
 
 Workers share nothing in memory but everything on disk: each builds (or
 loads) its dataset through the content-addressed disk cache, so a warm
-campaign re-run touches no simulator code at all.  Each worker also
+campaign re-run touches no simulator code at all.  Each unit also
 runs under its own :class:`~repro.telemetry.Telemetry` handle and
 :class:`~repro.telemetry.ResourceProfiler` with a propagated trace
 context (campaign id, seed, worker pid); its metrics, spans and
@@ -27,27 +29,22 @@ renders back into tables; the timeline is written next to it.
 from __future__ import annotations
 
 import math
-import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Iterable, Sequence
 
 from ..config import SimulationConfig
 from ..telemetry import (
     NULL_TELEMETRY,
-    ResourceProfiler,
     RunManifest,
     Telemetry,
     merge_worker_reports,
-    worker_report,
 )
-from ..telemetry.resources import PHASE_COMPUTE, PHASE_DATASET
-from .cache import config_fingerprint, dataset_content_hash
-from .common import build_dataset, small_config
+from .cache import config_fingerprint
+from .common import small_config
 from .registry import experiment_names, get_experiment
 from .reporting import format_table
+from .scheduler import DEFAULT_LEASE_TTL, run_queue
 
 __all__ = [
     "SeedRun",
@@ -75,8 +72,8 @@ class SeedRun:
     #: ``{experiment name: {metric: value}}`` numeric summary rows.
     summaries: dict = field(default_factory=dict)
     #: True when this seed's record was loaded from a previously
-    #: published queue result (``pool="warm"`` with ``resume=True``)
-    #: instead of being recomputed in this invocation.
+    #: published queue result (``resume=True``) instead of being
+    #: recomputed in this invocation.
     resumed: bool = False
 
     def to_dict(self) -> dict:
@@ -101,8 +98,8 @@ class CampaignResult:
     #: Merged cross-process timeline (:mod:`repro.telemetry.merge`);
     #: written next to the manifest by ``repro campaign run``.
     timeline: dict = field(default_factory=dict)
-    #: Work-queue bookkeeping when run under ``pool="warm"``
-    #: (queue id/dir, takeovers, resumed seeds, respawns).
+    #: Work-queue bookkeeping (queue id/dir, takeovers, resumed seeds,
+    #: respawns).
     scheduler: dict = field(default_factory=dict)
 
     def extra(self) -> dict:
@@ -169,79 +166,6 @@ def aggregate_summaries(
     return aggregates
 
 
-def _seed_heartbeat(seed: int) -> Callable[[dict], None]:
-    """A per-seed progress printer for long campaigns (stderr)."""
-
-    def beat(snapshot: dict) -> None:
-        print(
-            "[campaign seed {seed}] t={now:.1f}s/{duration:.1f}s "
-            "({percent:.0f}%) events={events_processed} "
-            "active_flows={active_flows}".format(seed=seed, **snapshot),
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return beat
-
-
-def _run_one_seed(payload: tuple) -> dict:
-    """Build one seed's dataset and run the experiment set (worker body).
-
-    Top-level so :class:`ProcessPoolExecutor` can pickle it; importing
-    this module pulls in :mod:`repro.experiments`, which registers every
-    experiment in the worker process.  The worker runs under its own
-    telemetry handle and resource profiler; everything it measured ships
-    home in the record's ``report`` entry for the parent to merge.
-    """
-    config, names, cache_dir, disk_cache, campaign_id, submitted_at, \
-        heartbeat_interval = payload
-    started_at = time.time()
-    tele = Telemetry()
-    profiler = ResourceProfiler()
-    profiler.start()
-    profiler.add_startup_phases(submitted_at)
-    heartbeat = _seed_heartbeat(config.seed) if heartbeat_interval else None
-    started = time.perf_counter()
-    with tele.span("campaign.seed", seed=config.seed,
-                   campaign_id=campaign_id, pid=profiler.pid):
-        with profiler.phase(PHASE_DATASET):
-            dataset = build_dataset(
-                config, telemetry=tele, disk_cache=disk_cache,
-                cache_dir=cache_dir, heartbeat=heartbeat,
-                heartbeat_interval=heartbeat_interval,
-            )
-        build_seconds = time.perf_counter() - started
-        summaries = {}
-        with profiler.phase(PHASE_COMPUTE):
-            for name in names:
-                spec = get_experiment(name)
-                with tele.span("campaign.experiment", experiment=name):
-                    if spec.kind == "ablation":
-                        result = spec.run(seed=config.seed)
-                    else:
-                        result = spec.run(dataset)
-                summaries[name] = spec.summary(result)
-    profiler.stop()
-    snapshot = tele.metrics.snapshot()
-    from_disk_cache = (
-        snapshot.get("dataset.disk_cache_hits", {}).get("value", 0.0) > 0
-    )
-    return {
-        "seed": config.seed,
-        "fingerprint": config_fingerprint(config),
-        "content_hash": dataset_content_hash(dataset),
-        "wall_seconds": time.perf_counter() - started,
-        "build_seconds": build_seconds,
-        "from_disk_cache": from_disk_cache,
-        "summaries": summaries,
-        "report": worker_report(
-            tele, profiler,
-            campaign_id=campaign_id, seed=config.seed,
-            submitted_at=submitted_at, started_at=started_at,
-        ),
-    }
-
-
 def run_campaign(
     base_config: SimulationConfig | None = None,
     *,
@@ -254,34 +178,29 @@ def run_campaign(
     progress: Callable[[dict, int, int], None] | None = None,
     campaign_id: str | None = None,
     heartbeat_interval: float | None = None,
-    pool: str = "spawn",
+    pool: str = "warm",
     resume: bool = False,
     lease_ttl: float | None = None,
-    use_shm: bool | None = None,
 ) -> CampaignResult:
     """Run the campaign over multiple seeds, optionally in parallel.
 
     ``seeds`` is either a count (seeds ``base.seed .. base.seed+N-1``) or
     an explicit sequence.  ``experiments`` defaults to every registered
-    figure experiment.  ``jobs <= 1`` runs in-process (sharing the
-    in-memory dataset cache); ``jobs > 1`` fans seeds across fresh
-    ``spawn`` worker processes, which is also what makes the
-    serial-vs-parallel determinism tests meaningful.  ``progress`` (if
-    given) is called with ``(record, completed, total)`` per seed.
+    figure experiment.  Every campaign runs through the
+    :mod:`~repro.experiments.scheduler` work queue: ``jobs <= 1`` runs
+    its claim loop in-process (sharing the in-memory dataset cache);
+    ``jobs > 1`` runs it in that many persistent spawn workers claiming
+    config-fingerprint keys through lease files in the cache directory.
+    ``progress`` (if given) is called with ``(record, completed, total)``
+    per seed.
 
-    ``pool`` selects the execution substrate: ``"spawn"`` (default) is
-    the one-shot per-seed process pool described above; ``"warm"`` runs
-    the :mod:`~repro.experiments.scheduler` work queue — persistent
-    workers claiming config-fingerprint keys through lease files in the
-    cache directory, with shared-memory dataset hand-off.  Under
-    ``"warm"``, ``resume=True`` honours results a previous (possibly
-    interrupted) invocation published — only missing seeds are
-    computed, and the finished campaign's content hashes are identical
-    to an uninterrupted run — while ``resume=False`` resets the queue
-    first.  ``lease_ttl`` bounds how long a dead worker's claim blocks
-    takeover; ``use_shm`` force-enables/disables the shared-memory
-    hand-off (default: on for multi-worker warm pools with a disk
-    cache).  Both are ignored by the spawn pool.
+    ``resume=True`` honours results a previous (possibly interrupted)
+    invocation published — only missing seeds are computed, and the
+    finished campaign's content hashes are identical to an
+    uninterrupted run — while ``resume=False`` resets the queue first.
+    ``lease_ttl`` bounds how long a dead worker's claim blocks takeover.
+    ``pool`` accepts only ``"warm"`` and selects nothing; it is kept so
+    existing callers that name it keep working.
 
     ``campaign_id`` is the trace context every worker stamps on its
     spans (default: derived from the config fingerprint — deterministic,
@@ -291,8 +210,8 @@ def run_campaign(
     carries a merged cross-process ``timeline`` whose per-worker lanes
     and phase totals say where the wall-clock went.
     """
-    if pool not in ("spawn", "warm"):
-        raise ValueError(f"unknown pool {pool!r}: expected 'spawn' or 'warm'")
+    if pool != "warm":
+        raise ValueError(f"unknown pool {pool!r}: expected 'warm'")
     tele = telemetry or NULL_TELEMETRY
     if base_config is None:
         base_config = small_config()
@@ -315,91 +234,39 @@ def run_campaign(
             f".s{seed_list[0]}x{len(seed_list)}.j{jobs}"
         )
 
-    def payload(seed: int) -> tuple:
-        # Built at submit time so ``submitted_at`` prices the real
-        # spawn/queue gap, not payload construction.
-        return (
-            base_config.with_seed(seed), tuple(names), cache_dir, disk_cache,
-            campaign_id, time.time(), heartbeat_interval,
-        )
-
-    records: dict[int, dict] = {}
-    scheduler_info: dict = {}
     window_start = time.time()
     started = time.perf_counter()
     with tele.span("campaign.run", seeds=len(seed_list), jobs=jobs,
-                   campaign_id=campaign_id, pool=pool):
-        def fan_in() -> tuple[list[dict], dict]:
-            # Merge every worker's metrics, spans and resource phases
-            # into the campaign-wide timeline (and, through it, the
-            # parent telemetry session the manifest snapshots).  For
-            # parallel runs this happens *inside* the pool context: the
-            # timeline window closes at merge end, and pool shutdown is
-            # not billed as campaign dead time.  Resumed records carry
-            # no report — their stale lanes would misdate the window —
-            # so they contribute hashes and summaries only.
-            ordered = [records[seed] for seed in seed_list]
-            reports = []
-            for record in ordered:
-                record.setdefault("resumed", False)
-                report = record.pop("report", None)
-                if report is not None and not record["resumed"]:
-                    reports.append(report)
-            with tele.span("campaign.merge", campaign_id=campaign_id):
-                timeline = merge_worker_reports(
-                    reports,
-                    campaign_id=campaign_id,
-                    window_start=window_start,
-                    jobs=jobs,
-                    telemetry=tele,
-                )
-            return ordered, timeline
-
-        if pool == "warm":
-            from .scheduler import DEFAULT_LEASE_TTL, run_queue
-
-            outcome = run_queue(
-                base_config, seed_list, names,
-                jobs=jobs, telemetry=tele, cache_dir=cache_dir,
-                disk_cache=disk_cache, progress=progress,
+                   campaign_id=campaign_id):
+        outcome = run_queue(
+            base_config, seed_list, names,
+            jobs=jobs, telemetry=tele, cache_dir=cache_dir,
+            disk_cache=disk_cache, progress=progress,
+            campaign_id=campaign_id,
+            heartbeat_interval=heartbeat_interval,
+            lease_ttl=lease_ttl if lease_ttl else DEFAULT_LEASE_TTL,
+            resume=resume,
+        )
+        # Merge every worker's metrics, spans and resource phases into
+        # the campaign-wide timeline (and, through it, the parent
+        # telemetry session the manifest snapshots).  Resumed records
+        # carry no report — their stale lanes would misdate the window —
+        # so they contribute hashes and summaries only.
+        ordered = [outcome["records"][seed] for seed in seed_list]
+        reports = []
+        for record in ordered:
+            record.setdefault("resumed", False)
+            report = record.pop("report", None)
+            if report is not None and not record["resumed"]:
+                reports.append(report)
+        with tele.span("campaign.merge", campaign_id=campaign_id):
+            timeline = merge_worker_reports(
+                reports,
                 campaign_id=campaign_id,
-                heartbeat_interval=heartbeat_interval,
-                lease_ttl=lease_ttl if lease_ttl else DEFAULT_LEASE_TTL,
-                resume=resume, use_shm=use_shm,
+                window_start=window_start,
+                jobs=jobs,
+                telemetry=tele,
             )
-            records.update(outcome["records"])
-            scheduler_info = {
-                "pool": "warm",
-                "queue_id": outcome["queue_id"],
-                "queue_dir": outcome["queue_dir"],
-                "takeovers": outcome["takeovers"],
-                "resumed_seeds": outcome["resumed_seeds"],
-                "respawns": outcome["respawns"],
-                "use_shm": outcome["use_shm"],
-            }
-            ordered, timeline = fan_in()
-        elif jobs <= 1:
-            for seed in seed_list:
-                record = _run_one_seed(payload(seed))
-                records[record["seed"]] = record
-                if progress is not None:
-                    progress(record, len(records), len(seed_list))
-            ordered, timeline = fan_in()
-        else:
-            context = get_context("spawn")
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(seed_list)), mp_context=context
-            ) as pool:
-                pending = {pool.submit(_run_one_seed, payload(seed))
-                           for seed in seed_list}
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        record = future.result()
-                        records[record["seed"]] = record
-                        if progress is not None:
-                            progress(record, len(records), len(seed_list))
-                ordered, timeline = fan_in()
     wall_seconds = time.perf_counter() - started
 
     tele.counter("campaign.seeds_completed").inc(len(ordered))
@@ -414,7 +281,11 @@ def run_campaign(
         aggregates=aggregate_summaries(seed_runs, names),
         campaign_id=campaign_id,
         timeline=timeline,
-        scheduler=scheduler_info,
+        scheduler={
+            key: outcome[key]
+            for key in ("queue_id", "queue_dir", "takeovers",
+                        "resumed_seeds", "respawns")
+        },
     )
 
 

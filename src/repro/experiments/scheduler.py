@@ -1,12 +1,12 @@
 """Resumable work-queue campaign scheduler over the content-addressed cache.
 
-The spawn-pool campaign runner assigns each seed to a worker up front;
-a crashed worker loses its seed and a re-run repeats everything.  This
-module replaces assignment with a **work queue coordinated entirely
-through the disk cache directory**: every unit of work is a
+This is the one way a campaign runs.  Instead of assigning each seed
+to a worker up front (where a crashed worker loses its seed and a
+re-run repeats everything), a campaign is a **work queue coordinated
+entirely through the disk cache directory**: every unit of work is a
 config-fingerprint key (the same sha256 the dataset cache is addressed
 by), and a campaign's queue lives in ``<cache-root>/queue-<id>/`` as
-three kinds of small files —
+two kinds of small files —
 
 * ``<fingerprint>.lease`` — an atomically-created (``O_CREAT|O_EXCL``)
   claim holding pid / host / heartbeat / TTL.  A background thread
@@ -17,20 +17,19 @@ three kinds of small files —
   via temp-file + ``os.replace`` so publication is atomic and
   idempotent: two workers racing the same unit (a takeover of a slow
   but living worker) publish byte-identical records, deterministically.
-* ``<fingerprint>.shm.json`` — a shared-memory manifest
-  (:mod:`repro.experiments.shm`) so later workers on the same host
-  attach the dataset's large arrays instead of re-reading the npz.
 
 Because the queue *is* the state, a crashed, killed or late-added
 worker is a no-op and ``repro campaign run`` is resumable by
 construction — re-invoking with ``resume=True`` loads every published
-result and only the missing keys are computed.  Workers are a
-**persistent warm pool**: each spawned process imports numpy/repro
-once, then loops claim → load-or-compute → run experiments → publish
-until every key in the queue has a result.  The timeline gains three
-phases for the new machinery: ``claim`` (lease acquisition),
-``lease-wait`` (idle while every remaining unit is leased elsewhere)
-and ``shm-attach`` (array hand-off from shared memory).
+result and only the missing keys are computed.  With ``jobs=1`` the
+loop claim → load-or-compute → run experiments → publish runs
+in-process; with more, the workers are a **persistent warm pool**:
+each spawned process imports numpy/repro once, then runs the same loop
+until every key in the queue has a result.  A takeover redoes a unit
+from the disk cache, so it loads rather than rebuilds whatever the
+dead worker already stored.  The timeline gains two phases for the
+queue: ``claim`` (lease acquisition) and ``lease-wait`` (idle while
+every remaining unit is leased elsewhere).
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ import queue as queue_module
 import secrets
 import signal
 import socket
+import sys
 import threading
 import time
 from typing import Callable, Sequence
@@ -53,12 +53,9 @@ from ..telemetry.resources import (
     PHASE_COMPUTE,
     PHASE_DATASET,
     PHASE_LEASE_WAIT,
-    PHASE_SHM_ATTACH,
     PHASE_WAIT,
 )
-from . import shm
 from .cache import (
-    NPZ_FIELDS,
     DatasetDiskCache,
     config_fingerprint,
     dataset_content_hash,
@@ -154,10 +151,6 @@ def _lease_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
 
 def _result_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
     return queue_dir / f"{key}.result.json"
-
-
-def _shm_manifest_path(queue_dir: pathlib.Path, key: str) -> pathlib.Path:
-    return queue_dir / f"{key}.shm.json"
 
 
 # -------------------------------------------------------------------- leases
@@ -342,23 +335,16 @@ def load_result(queue_dir, key: str) -> dict | None:
 
 
 def reset_queue(queue_dir) -> int:
-    """Remove every queue artefact (leases, results, shm manifests).
+    """Remove every queue artefact (leases, results, staging files).
 
-    Shared-memory blocks named by on-disk manifests are unlinked first
-    so a reset never leaks ``/dev/shm`` segments.  Returns the number
-    of files removed.  This is what a non-``resume`` campaign run does
-    on startup — the default is a fresh computation.
+    Returns the number of files removed.  This is what a non-``resume``
+    campaign run does on startup — the default is a fresh computation.
     """
     root = pathlib.Path(queue_dir)
     if not root.is_dir():
         return 0
     removed = 0
-    for path in root.glob("*.shm.json"):
-        try:
-            shm.unlink_manifest(json.loads(path.read_text(encoding="utf-8")))
-        except (OSError, json.JSONDecodeError):
-            pass
-    for pattern in ("*.lease", "*.result.json", "*.shm.json", "*.killed",
+    for pattern in ("*.lease", "*.result.json", "*.killed",
                     "*.tmp-*", "*.renew-*"):
         for path in root.glob(pattern):
             try:
@@ -402,7 +388,6 @@ def queue_status(base_config, seeds: Sequence[int],
             "fingerprint": key,
             "state": state,
             "lease": lease,
-            "shm": _shm_manifest_path(qdir, key).exists(),
         })
     return {
         "queue_id": qid,
@@ -440,54 +425,18 @@ def _maybe_self_kill(stage: str, seed: int, queue_dir: pathlib.Path,
 # ------------------------------------------------------------- worker bodies
 
 
-def _read_shm_manifest(queue_dir: pathlib.Path, key: str) -> dict | None:
-    try:
-        return json.loads(
-            _shm_manifest_path(queue_dir, key).read_text(encoding="utf-8")
-        )
-    except (OSError, json.JSONDecodeError):
-        return None
+def _acquire_dataset(config, key: str, tele, profiler, *, cache_dir,
+                     disk_cache, build_gate, heartbeat, heartbeat_interval):
+    """Materialise the unit's dataset through :func:`build_dataset`.
 
-
-def _write_shm_manifest(queue_dir: pathlib.Path, key: str,
-                        manifest: dict) -> None:
-    path = _shm_manifest_path(queue_dir, key)
-    staging = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with open(staging, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle)
-    os.replace(staging, path)
-
-
-def _acquire_dataset(config, key: str, tele, profiler, *, queue_dir,
-                     cache_dir, disk_cache, use_shm, build_gate,
-                     heartbeat, heartbeat_interval):
-    """Materialise the unit's dataset, cheapest source first.
-
-    Order: shared-memory attach (arrays from a sibling worker + object
-    graph from disk), then :func:`build_dataset` (memory LRU → disk
-    cache → simulate).  CPU-bound builds serialise through
-    ``build_gate`` so N workers on a C-core host never run more than C
-    simulations at once — the wait is billed to the ``wait`` phase, the
-    build itself to ``dataset-load``, keeping the summed dataset-load
-    comparable to a serial run.  Returns ``(dataset, via_shm,
-    published_manifest)``.
+    The source is memory LRU → disk cache → simulate.  CPU-bound builds
+    serialise through ``build_gate`` so N workers on a C-core host never
+    run more than C simulations at once — the wait is billed to the
+    ``wait`` phase, the build itself to ``dataset-load``, keeping the
+    summed dataset-load comparable to a serial run.
     """
-    disk_on = _disk_cache_enabled(disk_cache, cache_dir)
-    if use_shm and disk_on:
-        manifest = _read_shm_manifest(queue_dir, key)
-        if manifest is not None:
-            with profiler.phase(PHASE_SHM_ATTACH):
-                arrays = shm.attach_arrays(manifest)
-                dataset = (
-                    DatasetDiskCache(cache_dir).load(key, arrays)
-                    if arrays is not None else None
-                )
-            if dataset is not None:
-                tele.counter("dataset.shm_attach_hits").inc()
-                return dataset, True, None
-            tele.counter("dataset.shm_attach_misses").inc()
     needs_build = True
-    if disk_on:
+    if _disk_cache_enabled(disk_cache, cache_dir):
         needs_build = not DatasetDiskCache(cache_dir).entry_dir(key).exists()
     gated = needs_build and build_gate is not None
     if gated:
@@ -500,7 +449,7 @@ def _acquire_dataset(config, key: str, tele, profiler, *, queue_dir,
                                reason="build-gate")
     try:
         with profiler.phase(PHASE_DATASET):
-            dataset = build_dataset(
+            return build_dataset(
                 config, telemetry=tele, disk_cache=disk_cache,
                 cache_dir=cache_dir, heartbeat=heartbeat,
                 heartbeat_interval=heartbeat_interval,
@@ -508,17 +457,21 @@ def _acquire_dataset(config, key: str, tele, profiler, *, queue_dir,
     finally:
         if gated:
             build_gate.release()
-    manifest = None
-    if use_shm and disk_on and shm.HAVE_SHM and \
-            not _shm_manifest_path(queue_dir, key).exists():
-        try:
-            manifest = shm.publish_arrays(
-                key, {name: getattr(dataset, name) for name in NPZ_FIELDS}
-            )
-            _write_shm_manifest(queue_dir, key, manifest)
-        except OSError:
-            manifest = None  # shm full/unavailable: stay on the disk path
-    return dataset, False, manifest
+
+
+def _seed_heartbeat(seed: int) -> Callable[[dict], None]:
+    """A per-seed progress printer for long campaigns (stderr)."""
+
+    def beat(snapshot: dict) -> None:
+        print(
+            "[campaign seed {seed}] t={now:.1f}s/{duration:.1f}s "
+            "({percent:.0f}%) events={events_processed} "
+            "active_flows={active_flows}".format(seed=seed, **snapshot),
+            file=sys.stderr,
+            flush=True,
+        )
+
+    return beat
 
 
 def _process_unit(seed: int, key: str, params: dict, build_gate, *,
@@ -526,13 +479,11 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
                   claim_started: float, takeover: bool) -> dict:
     """Run one claimed unit end to end; returns the full result record.
 
-    The caller holds the lease.  Mirrors the spawn pool's per-seed
-    worker body (dataset → experiments → summaries → worker report) and
-    adds the queue phases: ``lease-wait`` for time idle before this
-    claim, ``claim`` for the acquisition itself.
+    The caller holds the lease.  Builds or loads the dataset, runs the
+    experiments into summaries and packs the worker's telemetry report;
+    the queue phases are ``lease-wait`` for time idle before this claim
+    and ``claim`` for the acquisition itself.
     """
-    from .campaign import _seed_heartbeat
-
     queue_dir = pathlib.Path(params["queue_dir"])
     config = params["base_config"].with_seed(seed)
     heartbeat_interval = params["heartbeat_interval"]
@@ -551,10 +502,9 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
     with tele.span("campaign.seed", seed=seed,
                    campaign_id=params["campaign_id"], pid=profiler.pid,
                    takeover=takeover):
-        dataset, via_shm, shm_manifest = _acquire_dataset(
+        dataset = _acquire_dataset(
             config, key, tele, profiler,
-            queue_dir=queue_dir, cache_dir=params["cache_dir"],
-            disk_cache=params["disk_cache"], use_shm=params["use_shm"],
+            cache_dir=params["cache_dir"], disk_cache=params["disk_cache"],
             build_gate=build_gate, heartbeat=heartbeat,
             heartbeat_interval=heartbeat_interval,
         )
@@ -572,10 +522,10 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
                 summaries[name] = spec.summary(result)
     profiler.stop()
     snapshot = tele.metrics.snapshot()
-    from_disk_cache = via_shm or (
+    from_disk_cache = (
         snapshot.get("dataset.disk_cache_hits", {}).get("value", 0.0) > 0
     )
-    record = {
+    return {
         "seed": seed,
         "fingerprint": key,
         "content_hash": dataset_content_hash(dataset),
@@ -591,9 +541,6 @@ def _process_unit(seed: int, key: str, params: dict, build_gate, *,
             submitted_at=submitted_at, started_at=started_at,
         ),
     }
-    if shm_manifest is not None:
-        record["shm_manifest"] = shm_manifest
-    return record
 
 
 def _worker_loop(params: dict, emit: Callable[[dict], None],
@@ -657,9 +604,15 @@ def _pool_worker(params: dict, result_queue, build_gate) -> None:
 
     Importing this module in the child pulls in :mod:`repro.experiments`
     — numpy, the simulator and every registered experiment load once,
-    then the worker loops on the queue shipping each record home.
+    then the worker loops on the queue shipping each record home.  Once
+    its records are flushed to the parent it exits without interpreter
+    teardown: the parent waits on that exit, and tearing down numpy and
+    the simulator modules is most of it.
     """
     _worker_loop(params, result_queue.put, build_gate)
+    result_queue.close()
+    result_queue.join_thread()
+    os._exit(0)
 
 
 # ----------------------------------------------------------------- the queue
@@ -679,9 +632,8 @@ def run_queue(
     heartbeat_interval: float | None = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     resume: bool = False,
-    use_shm: bool | None = None,
 ) -> dict:
-    """Drive a campaign's work queue to completion; the warm-pool parent.
+    """Drive a campaign's work queue to completion.
 
     Builds the unit list (one config-fingerprint key per seed), resumes
     any published results when ``resume`` (otherwise resets the queue),
@@ -690,11 +642,10 @@ def run_queue(
     records drain through a multiprocessing queue.  Dead workers are
     respawned while unpublished units remain; results published by a
     worker that died before shipping its record are recovered from the
-    queue directory.  Shared-memory segments reported by workers (and
-    any left by crashed ones) are unlinked before returning.
+    queue directory.
 
     Returns ``{"records", "queue_id", "queue_dir", "takeovers",
-    "resumed_seeds", "respawns", "use_shm"}`` where ``records`` maps
+    "resumed_seeds", "respawns"}`` where ``records`` maps
     seed → result record (freshly computed records carry a telemetry
     ``report``; resumed ones do not).
     """
@@ -719,16 +670,15 @@ def run_queue(
     ]
     if not resume:
         reset_queue(queue_dir)
-    if use_shm is None:
-        use_shm = bool(shm.HAVE_SHM and disk_on and jobs > 1)
 
     records: dict[int, dict] = {}
     resumed_seeds: list[int] = []
     total = len(units)
 
     def collect(record: dict) -> None:
+        fresh = record["seed"] not in records
         records[record["seed"]] = record
-        if progress is not None:
+        if fresh and progress is not None:
             progress(record, len(records), total)
 
     if resume:
@@ -742,13 +692,9 @@ def run_queue(
     pending = [(seed, key) for seed, key in units if seed not in records]
     takeovers = 0
     respawns = 0
-    tracker = shm.SharedSegmentTracker()
 
     def absorb(record: dict) -> None:
         nonlocal takeovers
-        manifest = record.pop("shm_manifest", None)
-        if manifest is not None:
-            tracker.record(record["fingerprint"], manifest)
         if record.pop("takeover", False):
             takeovers += 1
         collect(record)
@@ -763,12 +709,10 @@ def run_queue(
         "campaign_id": campaign_id,
         "heartbeat_interval": heartbeat_interval,
         "lease_ttl": lease_ttl,
-        "use_shm": use_shm,
     }
 
     if pending and jobs <= 1:
-        params = dict(base_params, worker_index=0, submitted_at=time.time(),
-                      use_shm=False)
+        params = dict(base_params, worker_index=0, submitted_at=time.time())
         _worker_loop(params, absorb, build_gate=None)
     elif pending:
         from multiprocessing import get_context
@@ -808,15 +752,22 @@ def run_queue(
                 ]
                 for index in dead:
                     workers.pop(index).join()
-                # Recover results published by a worker that died between
-                # publish_result and shipping the record home.
-                for seed, key in pending:
-                    if seed in records:
-                        continue
-                    record = load_result(queue_dir, key)
-                    if record is not None:
-                        record["resumed"] = False
-                        collect(record)
+                if dead:
+                    # Records a dead worker shipped are all in the pipe;
+                    # take them first, then recover results it published
+                    # but died before shipping home.
+                    while True:
+                        try:
+                            absorb(result_queue.get_nowait())
+                        except queue_module.Empty:
+                            break
+                    for seed, key in pending:
+                        if seed in records:
+                            continue
+                        record = load_result(queue_dir, key)
+                        if record is not None:
+                            record["resumed"] = False
+                            collect(record)
                 missing = total - len(records)
                 if missing and not workers and respawns >= max_respawns:
                     raise RuntimeError(
@@ -828,24 +779,25 @@ def run_queue(
                     spawn_worker()
                     respawns += 1
         finally:
+            # Keep reading while the workers exit: each flushes its
+            # records into the pipe first, and an unread pipe would block
+            # that exit.  A record arriving now supersedes one recovered
+            # from the queue directory, which carries no report.
             deadline = time.time() + 10.0
-            for process in workers.values():
-                process.join(timeout=max(0.1, deadline - time.time()))
-                if process.is_alive():  # pragma: no cover - wedged worker
-                    process.terminate()
-                    process.join(timeout=2.0)
+            while workers and time.time() < deadline:
+                try:
+                    absorb(result_queue.get(timeout=0.01))
+                except queue_module.Empty:
+                    pass
+                for index in [index for index, process in workers.items()
+                              if not process.is_alive()]:
+                    workers.pop(index).join()
+            for process in workers.values():  # pragma: no cover - wedged
+                process.terminate()
+                process.join(timeout=2.0)
             result_queue.close()
             result_queue.join_thread()
 
-    tracker.sweep(queue_dir, [key for _, key in units])
-    freed = tracker.unlink_all()
-    # The manifests' blocks are gone; drop the files too so a later
-    # resume doesn't chase segments that no longer exist.
-    for path in queue_dir.glob("*.shm.json"):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
     if ephemeral is not None:
         import shutil
 
@@ -861,6 +813,4 @@ def run_queue(
         "takeovers": takeovers,
         "resumed_seeds": resumed_seeds,
         "respawns": respawns,
-        "use_shm": use_shm,
-        "shm_blocks_freed": freed,
     }

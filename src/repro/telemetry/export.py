@@ -49,7 +49,6 @@ _PHASE_CHARS = {
     "wait": "w",
     "claim": "a",
     "lease-wait": "W",
-    "shm-attach": "h",
     "dataset-load": "d",
     "compute": "c",
     "merge": "m",

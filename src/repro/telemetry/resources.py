@@ -40,7 +40,6 @@ __all__ = [
     "PHASE_WAIT",
     "PHASE_CLAIM",
     "PHASE_LEASE_WAIT",
-    "PHASE_SHM_ATTACH",
     "PHASE_DATASET",
     "PHASE_COMPUTE",
     "PHASE_MERGE",
@@ -51,10 +50,9 @@ PHASE_SPAWN = "spawn"
 PHASE_IMPORT = "import"
 PHASE_WAIT = "wait"
 #: Work-queue scheduler phases (:mod:`repro.experiments.scheduler`):
-#: lease acquisition, idle-while-all-units-leased, shared-memory attach.
+#: lease acquisition and idle-while-all-units-leased.
 PHASE_CLAIM = "claim"
 PHASE_LEASE_WAIT = "lease-wait"
-PHASE_SHM_ATTACH = "shm-attach"
 PHASE_DATASET = "dataset-load"
 PHASE_COMPUTE = "compute"
 PHASE_MERGE = "merge"

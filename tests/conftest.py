@@ -15,7 +15,13 @@ from hypothesis import settings
 from repro.cluster.routing import Router
 from repro.cluster.topology import ClusterSpec, ClusterTopology
 from repro.config import SimulationConfig
-from repro.experiments.common import ExperimentDataset, build_dataset, small_config
+from repro.experiments.cache import dataset_content_hash
+from repro.experiments.common import (
+    ExperimentDataset,
+    build_dataset,
+    clear_dataset_cache,
+    small_config,
+)
 
 # Property tests must be deterministic in CI: fixed derivation, no
 # wall-clock deadline flakes, a bounded example budget.
@@ -64,6 +70,24 @@ def micro_trace_config() -> SimulationConfig:
         duration=40.0,
         seed=3,
     )
+
+
+def oracle_hashes(config: SimulationConfig, seeds) -> list[str]:
+    """Per-seed dataset content hashes built directly, outside any runner.
+
+    The reference campaign tests compare against: each seed's dataset is
+    simulated afresh with :func:`build_dataset` and no disk cache.  The
+    in-memory dataset cache is cleared around every build, so the oracle
+    never shares a dataset object with a campaign run in this process.
+    """
+    hashes = []
+    for seed in seeds:
+        clear_dataset_cache()
+        hashes.append(dataset_content_hash(
+            build_dataset(config.with_seed(seed), disk_cache=False)
+        ))
+    clear_dataset_cache()
+    return hashes
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from repro.experiments.common import clear_dataset_cache
 from repro.telemetry import RunManifest, Telemetry
 from repro.workload.generator import WorkloadConfig
 
+from conftest import oracle_hashes
+
 #: Experiments that are meaningful on a seconds-long micro campaign.
 MICRO_EXPERIMENTS = ["fig02", "fig09"]
 
@@ -47,6 +49,7 @@ def _fresh_memory_cache():
 class TestSerialVsParallel:
     def test_identical_per_seed_summary_rows(self, tmp_path):
         seeds = [3, 4]
+        expected = oracle_hashes(micro_config(), seeds)
         serial = run_campaign(
             micro_config(), seeds=seeds, experiments=MICRO_EXPERIMENTS,
             jobs=1, cache_dir=tmp_path / "serial",
@@ -57,10 +60,11 @@ class TestSerialVsParallel:
         )
         assert [run.seed for run in serial.seed_runs] == seeds
         assert [run.seed for run in parallel.seed_runs] == seeds
+        # Identical seed => the dataset a direct build produces, whether
+        # the campaign built it in-process or inside a spawned worker.
+        assert [run.content_hash for run in serial.seed_runs] == expected
+        assert [run.content_hash for run in parallel.seed_runs] == expected
         for serial_run, parallel_run in zip(serial.seed_runs, parallel.seed_runs):
-            # Identical seed => identical dataset content hash, whether the
-            # dataset was built in-process or inside a spawned worker.
-            assert serial_run.content_hash == parallel_run.content_hash
             assert serial_run.fingerprint == parallel_run.fingerprint
             assert serial_run.summaries == parallel_run.summaries
         assert serial.aggregates == parallel.aggregates
@@ -112,6 +116,25 @@ class TestRunnerContract:
         )
         assert [entry[0] for entry in seen] == [7, 8]
         assert seen[-1][1:] == (2, 2)
+
+    def test_resume_is_honoured_with_default_arguments(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seeds = [3, 4]
+        first = run_campaign(micro_config(), seeds=seeds,
+                             experiments=["fig09"])
+        clear_dataset_cache()
+        again = run_campaign(micro_config(), seeds=seeds,
+                             experiments=["fig09"], resume=True)
+        assert again.scheduler["resumed_seeds"] == seeds
+        assert [run.content_hash for run in again.seed_runs] == [
+            run.content_hash for run in first.seed_runs
+        ]
+
+    def test_pool_accepts_only_warm(self):
+        with pytest.raises(ValueError, match="pool"):
+            run_campaign(micro_config(), seeds=1, experiments=["fig09"],
+                         pool="spawn")
 
 
 class TestAggregation:

@@ -5,15 +5,17 @@ Three layers, mirroring the scheduler's own structure:
 * lease / result primitives — ``O_CREAT|O_EXCL`` single-winner claims,
   staleness (dead pid, old heartbeat), token-checked release, atomic
   idempotent publication;
-* the warm pool end to end — serial vs warm determinism, multi-worker
+* the queue end to end — content hashes equal to a direct
+  :func:`build_dataset` oracle for one and two workers, multi-worker
   lanes, resume-after-interrupt identity;
 * crash injection — a worker SIGKILLs itself mid-unit (via the
   ``REPRO_SCHEDULER_KILL`` hook), and the campaign still finishes with
-  the exact hashes a serial run produces, counting the takeover.
+  the oracle's exact hashes, counting the takeover.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import threading
@@ -41,7 +43,7 @@ from repro.experiments.scheduler import (
 )
 from repro.workload.generator import WorkloadConfig
 
-MICRO_EXPERIMENTS = ["fig02", "fig09"]
+from conftest import oracle_hashes
 
 
 def micro_config(seed: int = 3) -> SimulationConfig:
@@ -61,8 +63,8 @@ def _fresh_memory_cache():
     clear_dataset_cache()
 
 
-def _hashes(result) -> dict[int, str]:
-    return {run.seed: run.content_hash for run in result.seed_runs}
+def _hashes(result) -> list[str]:
+    return [run.content_hash for run in result.seed_runs]
 
 
 # ------------------------------------------------------------------ primitives
@@ -203,57 +205,45 @@ class TestQueueStatus:
                                     "pending": 1}
 
 
-# ------------------------------------------------------------------ warm pool
+# ---------------------------------------------------------------- the queue
 
 
 class TestWarmPool:
-    def test_serial_warm_matches_spawn(self, tmp_path):
-        seeds = [3, 4]
-        spawn = run_campaign(micro_config(), seeds=seeds,
-                             experiments=MICRO_EXPERIMENTS, jobs=1,
-                             pool="spawn", cache_dir=tmp_path / "spawn")
-        warm = run_campaign(micro_config(), seeds=seeds,
-                            experiments=MICRO_EXPERIMENTS, jobs=1,
-                            pool="warm", cache_dir=tmp_path / "warm")
-        assert _hashes(spawn) == _hashes(warm)
-        assert spawn.aggregates == warm.aggregates
-        assert warm.scheduler["pool"] == "warm"
-        assert warm.scheduler["takeovers"] == 0
-        assert "claim" in warm.timeline.get("phase_totals", {})
-
-    def test_parallel_workers_share_one_queue(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_queue_matches_build_dataset_oracle(self, tmp_path, jobs):
         seeds = [3, 4, 5]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
-        warm = run_campaign(micro_config(), seeds=seeds,
-                            experiments=["fig09"], jobs=2,
-                            pool="warm", cache_dir=tmp_path / "warm")
-        assert _hashes(serial) == _hashes(warm)
-        assert serial.aggregates == warm.aggregates
-        lanes = warm.timeline.get("lanes", [])
+        expected = oracle_hashes(micro_config(), seeds)
+        segments_before = set(glob.glob("/dev/shm/repro-*"))
+        result = run_campaign(micro_config(), seeds=seeds,
+                              experiments=["fig09"], jobs=jobs,
+                              cache_dir=tmp_path)
+        assert _hashes(result) == expected
+        assert result.scheduler["takeovers"] == 0
+        assert "claim" in result.timeline.get("phase_totals", {})
         worker_segments = [
             segment
-            for lane in lanes
+            for lane in result.timeline.get("lanes", [])
             for segment in lane.get("segments", [])
             if segment.get("seed") is not None
         ]
         assert len(worker_segments) == len(seeds)
-        # No queue artefacts left behind except the published results.
-        qdir = queue_dir_for(warm.scheduler["queue_id"], tmp_path / "warm")
+        # No queue artefacts left behind except the published results,
+        # and nothing published outside the cache directory.
+        qdir = queue_dir_for(result.scheduler["queue_id"], tmp_path)
         leftovers = {p.name.split(".", 1)[1] for p in qdir.iterdir()}
         assert leftovers == {"result.json"}
+        assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
 
     def test_resume_loads_everything_without_recompute(self, tmp_path):
         seeds = [3, 4]
         cache = tmp_path / "cache"
         first = run_campaign(micro_config(), seeds=seeds,
                              experiments=["fig09"], jobs=1,
-                             pool="warm", cache_dir=cache)
+                             cache_dir=cache)
         clear_dataset_cache()
         again = run_campaign(micro_config(), seeds=seeds,
                              experiments=["fig09"], jobs=1,
-                             pool="warm", cache_dir=cache, resume=True)
+                             cache_dir=cache, resume=True)
         assert again.scheduler["resumed_seeds"] == seeds
         assert all(run.resumed for run in again.seed_runs)
         assert _hashes(first) == _hashes(again)
@@ -272,14 +262,14 @@ class TestWarmPool:
         seeds = [3, 4]
         cache = tmp_path / "cache"
         full = run_campaign(config, seeds=seeds, experiments=["fig09"],
-                            jobs=1, pool="warm", cache_dir=cache)
+                            jobs=1, cache_dir=cache)
         # Simulate an interrupted run: drop one published result.
         qdir = queue_dir_for(full.scheduler["queue_id"], cache)
         victim = config_fingerprint(config.with_seed(4))
         os.unlink(qdir / f"{victim}.result.json")
         clear_dataset_cache()
         resumed = run_campaign(config, seeds=seeds, experiments=["fig09"],
-                               jobs=1, pool="warm", cache_dir=cache,
+                               jobs=1, cache_dir=cache,
                                resume=True)
         assert resumed.scheduler["resumed_seeds"] == [3]
         by_seed = {run.seed: run for run in resumed.seed_runs}
@@ -292,7 +282,7 @@ class TestWarmPool:
         config = micro_config()
         cache = tmp_path / "cache"
         run_campaign(config, seeds=[3], experiments=["fig09"], jobs=1,
-                     pool="warm", cache_dir=cache)  # warm the disk cache
+                     cache_dir=cache)  # warm the disk cache
         qid = campaign_queue_id(config, [3], ["fig09"])
         qdir = queue_dir_for(qid, cache)
         key = config_fingerprint(config.with_seed(3))
@@ -305,7 +295,7 @@ class TestWarmPool:
         timer.start()
         try:
             result = run_campaign(config, seeds=[3], experiments=["fig09"],
-                                  jobs=1, pool="warm", cache_dir=cache,
+                                  jobs=1, cache_dir=cache,
                                   resume=True)
         finally:
             timer.cancel()
@@ -323,20 +313,17 @@ class TestCrashInjection:
         The victim is SIGKILLed right after winning the lease for seed 4
         (the ``claimed`` stage), before any compute.  The surviving
         worker (or a respawn) finds the dead pid's lease, takes it over,
-        and the final hashes are bit-identical to a serial run.
+        and the final hashes are bit-identical to a direct build.
         """
         seeds = [3, 4, 5]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
+        expected = oracle_hashes(micro_config(), seeds)
         monkeypatch.setenv(KILL_ENV, "4:claimed")
         killed = run_campaign(micro_config(), seeds=seeds,
                               experiments=["fig09"], jobs=2,
-                              pool="warm", cache_dir=tmp_path / "warm",
+                              cache_dir=tmp_path / "warm",
                               lease_ttl=4.0)
         assert killed.scheduler["takeovers"] >= 1
-        assert _hashes(serial) == _hashes(killed)
-        assert serial.aggregates == killed.aggregates
+        assert _hashes(killed) == expected
         assert "claim" in killed.timeline.get("phase_totals", {})
 
     def test_sigkill_after_publish_no_duplicate_build(self, tmp_path,
@@ -344,36 +331,20 @@ class TestCrashInjection:
         """A worker dies after storing the dataset but before the result.
 
         The takeover must not rebuild: the dataset is already in the
-        disk cache (and its arrays in shared memory), so the redo of
-        seed 3 loads instead of simulating — ``from_disk_cache`` is True
-        and, when shared memory is available, the ``shm-attach`` phase
-        appears in the merged timeline.
+        disk cache, so the redo of seed 3 loads instead of simulating —
+        ``from_disk_cache`` is True.
         """
         seeds = [3, 4]
-        serial = run_campaign(micro_config(), seeds=seeds,
-                              experiments=["fig09"], jobs=1,
-                              pool="spawn", cache_dir=tmp_path / "serial")
+        expected = oracle_hashes(micro_config(), seeds)
         monkeypatch.setenv(KILL_ENV, "3:published")
         killed = run_campaign(micro_config(), seeds=seeds,
                               experiments=["fig09"], jobs=2,
-                              pool="warm", cache_dir=tmp_path / "warm",
+                              cache_dir=tmp_path / "warm",
                               lease_ttl=2.0)
         assert killed.scheduler["takeovers"] >= 1
-        assert _hashes(serial) == _hashes(killed)
+        assert _hashes(killed) == expected
         by_seed = {run.seed: run for run in killed.seed_runs}
         assert by_seed[3].from_disk_cache
-        if killed.scheduler["use_shm"]:
-            assert "shm-attach" in killed.timeline.get("phase_totals", {})
-
-    def test_no_shared_memory_leaks_after_crash(self, tmp_path, monkeypatch):
-        import glob
-
-        before = set(glob.glob("/dev/shm/repro-*"))
-        monkeypatch.setenv(KILL_ENV, "3:published")
-        run_campaign(micro_config(), seeds=[3, 4], experiments=["fig09"],
-                     jobs=2, pool="warm", cache_dir=tmp_path / "cache",
-                     lease_ttl=2.0)
-        assert set(glob.glob("/dev/shm/repro-*")) <= before
 
 
 # ----------------------------------------------------------- partial manifests

@@ -200,8 +200,8 @@ class TestOperationsHandbook:
 
     def test_covers_the_operational_topics(self, text):
         for topic in ("--resume", "campaign status", "--lease-ttl",
-                      "TTL", "stale", "takeover", "/dev/shm",
-                      "manifest_nbytes", "dataset_load_ratio"):
+                      "TTL", "stale", "takeover", "from_disk_cache",
+                      "dataset_load_ratio"):
             assert topic in text, f"OPERATIONS.md does not cover {topic}"
 
     def test_referenced_paths_exist(self, text):
@@ -235,19 +235,17 @@ class TestOperationsHandbook:
         parser = _build_parser()
         args = parser.parse_args([
             "campaign", "run", "--seeds", "8", "--jobs", "4",
-            "--experiments", "fig02,fig09", "--pool", "warm",
+            "--experiments", "fig02,fig09",
             "--resume", "--lease-ttl", "10",
             "--cache-dir", ".repro-cache",
         ])
-        assert args.pool == "warm" and args.resume
+        assert args.resume
         assert args.lease_ttl == 10.0
         args = parser.parse_args([
             "campaign", "status", "--seeds", "8",
             "--experiments", "fig02,fig09", "--cache-dir", ".repro-cache",
         ])
         assert args.campaign_command == "status"
-        args = parser.parse_args(["campaign", "run", "--pool", "spawn"])
-        assert args.pool == "spawn"
 
     def test_readme_scaling_section(self):
         readme = (_REPO_ROOT / "README.md").read_text()
@@ -264,8 +262,7 @@ class TestOperationsHandbook:
         architecture = (_REPO_ROOT / "ARCHITECTURE.md").read_text()
         assert "## Campaign scheduler dataflow" in architecture
         for step in ("claim", "publish", "merge",
-                     "src/repro/experiments/scheduler.py",
-                     "src/repro/experiments/shm.py"):
+                     "src/repro/experiments/scheduler.py"):
             assert step in architecture, (
                 f"ARCHITECTURE.md scheduler dataflow missing {step}"
             )
