@@ -35,23 +35,39 @@ class LinkQueues:
         self.threshold_bytes = params.ecn_threshold_bytes
         #: Current occupancy, bytes per link.
         self.backlog_bytes = np.zeros(num_links)
+        # Lifetime ledgers, one row each, and this step's per-link bytes
+        # in the same row order, so one ``+=`` books a whole step.
+        self._byte_ledger = np.zeros((3, num_links))
+        self._packet_ledger = np.zeros((3, num_links))
+        self._moved = np.zeros((3, num_links))
+        self._moved_packets = np.zeros((3, num_links))
         #: Lifetime ledgers, bytes per link.
-        self.enqueued_bytes = np.zeros(num_links)
-        self.dequeued_bytes = np.zeros(num_links)
-        self.dropped_bytes = np.zeros(num_links)
+        self.enqueued_bytes, self.dequeued_bytes, self.dropped_bytes = (
+            self._byte_ledger
+        )
         #: Lifetime ledgers, (fractional fluid) packets per link.
-        self.marked_packets = np.zeros(num_links)
-        self.dropped_packets = np.zeros(num_links)
-        self.forwarded_packets = np.zeros(num_links)
+        self.marked_packets, self.forwarded_packets, self.dropped_packets = (
+            self._packet_ledger
+        )
+        # Scratch for :meth:`step`, which returns the serviced bytes and
+        # the two fractions.
+        self._surviving, self._serviced, self._dropped = self._moved
+        self._drop_fraction = np.zeros(num_links)
+        self._mark_fraction = np.zeros(num_links)
+        self._level = np.zeros(num_links)
+        self._scratch = np.zeros(num_links)
+        self._arrived = np.zeros(num_links, dtype=bool)
+        self._marked = np.zeros(num_links, dtype=bool)
 
     @property
     def resident_bytes(self) -> np.ndarray:
         """Bytes currently sitting in each queue (the conservation term)."""
         return self.backlog_bytes.copy()
 
-    def queueing_delay(self) -> np.ndarray:
-        """Seconds a packet arriving now waits at each link's queue."""
-        return self.backlog_bytes / self.capacities
+    def queueing_delay(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Seconds a packet arriving now waits at each link's queue
+        (written into ``out`` when given)."""
+        return np.divide(self.backlog_bytes, self.capacities, out=out)
 
     def step(
         self, arrivals_bytes: np.ndarray, dt: float
@@ -64,36 +80,49 @@ class LinkQueues:
         is the share of surviving arrivals CE-marked under the fixed-K
         rule.  Service is work-conserving and bounded by
         ``capacity * dt``, which is what keeps the link-load sinks inside
-        the ``linkloads.sane`` utilisation invariant.
+        the ``linkloads.sane`` utilisation invariant.  The three arrays
+        are buffers this object reuses: read them before the next call.
         """
         arrivals = np.asarray(arrivals_bytes, dtype=float)
-        offered = self.backlog_bytes + arrivals
-        serviced = np.minimum(offered, self.capacities * dt)
-        level = offered - serviced
-        overflow = np.maximum(level - self.capacity_bytes, 0.0)
+        serviced = self._serviced
+        level = self._level
+        dropped = self._dropped
+        scratch = self._scratch
+        np.add(self.backlog_bytes, arrivals, out=level)  # offered
+        np.multiply(self.capacities, dt, out=scratch)
+        np.minimum(level, scratch, out=serviced)
+        np.subtract(level, serviced, out=level)
+        np.subtract(level, self.capacity_bytes, out=scratch)
+        overflow = np.maximum(scratch, 0.0, out=scratch)
         # Tail-drop: only arriving bytes can be dropped, so the drop is
         # capped by what arrived this tick (service drains backlog first,
         # which can leave level > capacity only via arrivals).
-        dropped = np.minimum(overflow, arrivals)
-        self.backlog_bytes = level - dropped
+        np.minimum(overflow, arrivals, out=dropped)
+        np.subtract(level, dropped, out=self.backlog_bytes)
 
-        with np.errstate(invalid="ignore", divide="ignore"):
-            drop_fraction = np.where(arrivals > 0, dropped / arrivals, 0.0)
+        arrived = np.greater(arrivals, 0.0, out=self._arrived)
+        drop_fraction = self._drop_fraction
+        drop_fraction.fill(0.0)
+        np.divide(dropped, arrivals, out=drop_fraction, where=arrived)
         # Fixed-K marking: CE-mark arrivals that land in (or behind) a
         # queue at/above K once this tick's service has run.
-        marked = (arrivals > 0) & (
-            self.backlog_bytes >= self.threshold_bytes - 1e-9
+        marked = np.greater_equal(
+            self.backlog_bytes, self.threshold_bytes - 1e-9, out=self._marked
         )
-        mark_fraction = marked.astype(float)
+        np.logical_and(arrived, marked, out=marked)
+        mark_fraction = self._mark_fraction
+        mark_fraction[:] = marked
 
-        mtu = self.params.mtu_bytes
-        surviving = arrivals - dropped
-        self.enqueued_bytes += surviving
-        self.dequeued_bytes += serviced
-        self.dropped_bytes += dropped
-        self.forwarded_packets += serviced / mtu
-        self.dropped_packets += dropped / mtu
-        self.marked_packets += (surviving / mtu) * mark_fraction
+        np.subtract(arrivals, dropped, out=self._surviving)
+        # Bytes: enqueued += surviving, dequeued += serviced, dropped +=
+        # dropped.  Packets: the same over the MTU, the surviving ones
+        # counted as marked only where CE-marked.
+        self._byte_ledger += self._moved
+        moved_packets = np.divide(
+            self._moved, self.params.mtu_bytes, out=self._moved_packets
+        )
+        moved_packets[0] *= mark_fraction
+        self._packet_ledger += moved_packets
         return serviced, drop_fraction, mark_fraction
 
     def conservation_residual(self) -> np.ndarray:

@@ -6,8 +6,8 @@ simulator-facing surface (``add_flow`` / ``advance_to`` /
 ``pop_completed`` / dynamic wakeup) so :class:`~repro.simulation.simulator.Simulator`
 can swap it in behind ``SimulationConfig.transport_impl``.  Instead of
 an ideal max-min allocation it integrates a fluid-window model on a
-fixed tick: every flow paces ``cwnd / rtt`` into per-link FIFO queues
-(:class:`~repro.simulation.cc.queue.LinkQueues`), where bytes are
+fixed tick: every flow paces ``cwnd / base_rtt`` into per-link FIFO
+queues (:class:`~repro.simulation.cc.queue.LinkQueues`), where bytes are
 CE-marked past the fixed threshold K and tail-dropped past the buffer;
 RTTs include live queueing delay, and once per RTT each flow closes a
 *round* and applies its variant's window transition
@@ -15,6 +15,18 @@ RTTs include live queueing delay, and once per RTT each flow closes a
 ``timeout_loss_fraction`` of its bytes is a whole-window loss: the flow
 collapses to the minimum window and sits out ``min_rto`` — the
 serialisation mechanism behind incast goodput collapse (§4.4).
+
+The tick pays per flow arrival, not per tick, for everything that only
+changes when a flow starts or finishes.  The active set's path geometry
+(:class:`_ActiveGeometry`) is cached and dropped in exactly two places,
+``add_flow`` and ``_finish``; every tick in between reuses it, together
+with the post-queue-step RTT the previous tick computed.  Per-flow
+state lives in one ``(field, slot)`` matrix, gathered once per tick for
+the active columns and scattered back once.  None of this changes a
+float: the row shapes, the ascending-slot order and every sum's and
+product's operand order are those of recomputing everything each tick,
+so outputs are bit-identical to that (``TestBitIdentityPins`` in
+``tests/test_cc.py`` pins them).
 
 The engine cadence reuses the dynamic-time-source hook: the transport's
 ``next_completion_wakeup`` simply asks for ``now + tick`` while any flow
@@ -49,6 +61,26 @@ __all__ = ["CCReport", "QueuedTransport"]
 _EPS_BYTES = 0.5
 #: Slack for "is this round due" / "is this flow stalled" comparisons.
 _EPS_TIME = 1e-12
+
+# Rows of the per-flow state matrix (one column per slot).  Rows that a
+# tick updates by the same amount sit next to each other, so one sliced
+# ``+=`` serves both.
+_REMAINING = 0
+_CWND = 1
+_SSTHRESH = 2
+_ALPHA = 3
+_RTO_UNTIL = 4
+_ROUND_END = 5
+_ROUND_SENT = 6
+_SENT_TOTAL = 7
+_ROUND_LOST = 8
+_RETX_BYTES = 9
+_ROUND_MARKED = 10
+_RTT_WEIGHTED = 11
+_TIMEOUTS = 12
+_SIZE = 13
+_START_TIME = 14
+_NUM_FIELDS = 15
 
 
 @dataclass(frozen=True)
@@ -94,6 +126,28 @@ class CCReport:
         return float(self.flow_timeouts.sum())
 
 
+@dataclass
+class _ActiveGeometry:
+    """The active flows' paths, in the shapes a tick consumes.
+
+    Valid until a flow starts or finishes; the transport drops it then.
+    """
+
+    #: Active slots, ascending.
+    slots: np.ndarray
+    #: Every active path's links, flow by flow (the ``bincount`` keys).
+    links: np.ndarray
+    #: Hops per active flow (repeats each flow's bytes over its links).
+    hops: np.ndarray
+    #: ``(flows, max_path)`` link ids, padding pointing at the extra
+    #: link slot ``num_links`` of the per-tick link vectors.
+    padded: np.ndarray
+    #: The same, hop-major and cut after the longest active path.
+    hop_links: np.ndarray
+    #: Per-flow RTT under the current queue occupancy, once computed.
+    rtt: np.ndarray | None = None
+
+
 class QueuedTransport:
     """Discrete-stepped congestion-controlled transport with FIFO queues."""
 
@@ -129,28 +183,27 @@ class QueuedTransport:
 
         size = max(16, initial_capacity)
         self._paths = np.full((size, self.max_path), -1, dtype=np.int64)
-        self._remaining = np.zeros(size, dtype=float)
         self._active = np.zeros(size, dtype=bool)
-        self._meta: list[TransferMeta | None] = [None] * size
-        self._on_complete: list[Callable[[Transfer], None] | None] = [None] * size
-        self._src = np.zeros(size, dtype=np.int64)
-        self._dst = np.zeros(size, dtype=np.int64)
-        self._sizes = np.zeros(size, dtype=float)
-        self._start_times = np.zeros(size, dtype=float)
-        # Congestion-control state, per slot (windows in packets).
-        self._cwnd = np.zeros(size, dtype=float)
-        self._ssthresh = np.zeros(size, dtype=float)
-        self._alpha = np.zeros(size, dtype=float)
-        self._rto_until = np.full(size, -np.inf)
-        self._round_end = np.zeros(size, dtype=float)
-        self._round_sent = np.zeros(size, dtype=float)
-        self._round_lost = np.zeros(size, dtype=float)
-        self._round_marked = np.zeros(size, dtype=float)
-        self._retx_bytes = np.zeros(size, dtype=float)
-        self._timeouts = np.zeros(size, dtype=np.int64)
-        self._rtt_weighted = np.zeros(size, dtype=float)
-        self._sent_total = np.zeros(size, dtype=float)
+        self._num_active = 0
+        #: Per-slot ``(src, dst, meta, on_complete)`` of in-flight flows.
+        self._flows: list[
+            tuple[int, int, TransferMeta, Callable[[Transfer], None] | None]
+            | None
+        ] = [None] * size
+        #: Per-flow numeric state, one row per field above (windows in
+        #: packets).  The only copy: a tick works on a gathered block of
+        #: its columns and scatters the block back before returning.
+        self._state = np.zeros((_NUM_FIELDS, size))
         self._free_slots: list[int] = list(range(size - 1, -1, -1))
+        self._geometry_cache: _ActiveGeometry | None = None
+        # Per-link terms a tick composes along paths: queueing delay, and
+        # the shares of arrivals surviving the drop and left unmarked.
+        # The extra last link is where padded path hops point: it adds no
+        # delay and keeps everything.
+        self._hop_delay = np.zeros(self.num_links + 1)
+        self._hop_keep = np.ones((2, self.num_links + 1))
+        self._no_arrivals = np.zeros(self.num_links)
+        self._peak_backlog = np.zeros(self.num_links)
 
         self.now = 0.0
         self._completed_buffer: list[
@@ -160,7 +213,6 @@ class QueuedTransport:
         self.transfers_started = 0
         self.peak_active = 0
         self.ticks = 0
-        self.peak_queue_bytes = 0.0
         # Per-completed-flow records, in completion order.
         self._fct: list[float] = []
         self._done_sizes: list[float] = []
@@ -183,29 +235,39 @@ class QueuedTransport:
         self._paths = np.vstack(
             [self._paths, np.full((old, self.max_path), -1, dtype=np.int64)]
         )
-        for name in (
-            "_remaining", "_src", "_dst", "_sizes", "_start_times",
-            "_cwnd", "_ssthresh", "_alpha", "_round_end", "_round_sent",
-            "_round_lost", "_round_marked", "_retx_bytes", "_rtt_weighted",
-            "_sent_total", "_timeouts",
-        ):
-            array = getattr(self, name)
-            setattr(
-                self, name,
-                np.concatenate([array, np.zeros(old, dtype=array.dtype)]),
-            )
-        self._rto_until = np.concatenate(
-            [self._rto_until, np.full(old, -np.inf)]
-        )
+        self._state = np.hstack([self._state, np.zeros((_NUM_FIELDS, old))])
         self._active = np.concatenate([self._active, np.zeros(old, dtype=bool)])
-        self._meta.extend([None] * old)
-        self._on_complete.extend([None] * old)
+        self._flows.extend([None] * old)
         self._free_slots.extend(range(old * 2 - 1, old - 1, -1))
 
     @property
     def active_count(self) -> int:
         """Number of in-flight flows."""
-        return int(self._active.sum())
+        return self._num_active
+
+    @property
+    def peak_queue_bytes(self) -> float:
+        """Deepest occupancy any queue reached at a tick's end, bytes."""
+        return float(self._peak_backlog.max(initial=0.0))
+
+    def _geometry(self) -> _ActiveGeometry:
+        """The active set's cached path geometry, rebuilt when stale."""
+        geometry = self._geometry_cache
+        if geometry is None:
+            slots = self._active.nonzero()[0]
+            paths = self._paths[slots]
+            valid = paths >= 0
+            hops = valid.sum(axis=1)
+            padded = np.where(valid, paths, self.num_links)
+            geometry = _ActiveGeometry(
+                slots=slots,
+                links=paths[valid],
+                hops=hops,
+                padded=padded,
+                hop_links=np.ascontiguousarray(padded.T[: hops.max(initial=0)]),
+            )
+            self._geometry_cache = geometry
+        return geometry
 
     # ---------------------------------------------------------------- flows
 
@@ -231,76 +293,54 @@ class QueuedTransport:
         slot = self._free_slots.pop()
         self._paths[slot, :] = -1
         self._paths[slot, : len(path_links)] = path_links
-        self._remaining[slot] = size
         self._active[slot] = True
-        self._meta[slot] = meta
-        self._on_complete[slot] = on_complete
-        self._src[slot] = src
-        self._dst[slot] = dst
-        self._sizes[slot] = size
-        self._start_times[slot] = self.now
-        self._cwnd[slot] = params.initial_cwnd_packets
-        self._ssthresh[slot] = params.max_cwnd_packets
-        self._alpha[slot] = 0.0
-        self._rto_until[slot] = -np.inf
-        self._round_end[slot] = self.now + params.base_rtt
-        self._round_sent[slot] = 0.0
-        self._round_lost[slot] = 0.0
-        self._round_marked[slot] = 0.0
-        self._retx_bytes[slot] = 0.0
-        self._timeouts[slot] = 0
-        self._rtt_weighted[slot] = 0.0
-        self._sent_total[slot] = 0.0
+        self._num_active += 1
+        self._geometry_cache = None
+        self._flows[slot] = (src, dst, meta, on_complete)
+        column = self._state[:, slot]
+        column[:] = 0.0
+        column[_REMAINING] = size
+        column[_SIZE] = size
+        column[_START_TIME] = self.now
+        column[_CWND] = params.initial_cwnd_packets
+        column[_SSTHRESH] = params.max_cwnd_packets
+        column[_RTO_UNTIL] = -np.inf
+        column[_ROUND_END] = self.now + params.base_rtt
         self.transfers_started += 1
-        active = self.active_count
-        if active > self.peak_active:
-            self.peak_active = active
+        if self._num_active > self.peak_active:
+            self.peak_active = self._num_active
         return slot
 
-    def reroute_flow(self, slot: int, path_links: tuple[int, ...]) -> None:
-        """Move an in-flight flow onto a new path (flowlet switching).
-
-        Packets already enqueued keep draining from the per-link queues
-        they occupy; only pacing from the switching instant onward uses
-        the new path, matching a real switch's flowlet pinning table.
-        The congestion window and round state carry over unchanged.
-        """
-        if not 0 <= slot < self._paths.shape[0] or not self._active[slot]:
-            raise ValueError(f"slot {slot} has no active flow")
-        if not path_links:
-            raise ValueError("flow path must cross at least one link")
-        if len(path_links) > self.max_path:
-            raise ValueError("path exceeds transport's max path length")
-        self._paths[slot, :] = -1
-        self._paths[slot, : len(path_links)] = path_links
-
     def _finish(self, slot: int) -> None:
-        meta = self._meta[slot]
-        assert meta is not None
+        record = self._flows[slot]
+        assert record is not None
+        src, dst, meta, on_complete = record
+        column = self._state[:, slot]
         transfer = Transfer(
             transfer_id=self._next_transfer_id,
-            src=int(self._src[slot]),
-            dst=int(self._dst[slot]),
-            size=float(self._sizes[slot]),
-            start_time=float(self._start_times[slot]),
+            src=int(src),
+            dst=int(dst),
+            size=float(column[_SIZE]),
+            start_time=float(column[_START_TIME]),
             end_time=self.now,
             meta=meta,
         )
-        self._completed_buffer.append((transfer, self._on_complete[slot]))
+        self._completed_buffer.append((transfer, on_complete))
         self._next_transfer_id += 1
         self._fct.append(transfer.duration)
         self._done_sizes.append(transfer.size)
-        self._done_retx.append(float(self._retx_bytes[slot]))
-        self._done_timeouts.append(int(self._timeouts[slot]))
-        sent = float(self._sent_total[slot])
+        self._done_retx.append(float(column[_RETX_BYTES]))
+        self._done_timeouts.append(int(column[_TIMEOUTS]))
+        sent = float(column[_SENT_TOTAL])
         self._done_mean_rtt.append(
-            float(self._rtt_weighted[slot]) / sent
+            float(column[_RTT_WEIGHTED]) / sent
             if sent > 0
             else self.params.base_rtt
         )
         self._active[slot] = False
-        self._meta[slot] = None
-        self._on_complete[slot] = None
+        self._num_active -= 1
+        self._geometry_cache = None
+        self._flows[slot] = None
         self._free_slots.append(slot)
 
     def pop_completed(
@@ -314,47 +354,55 @@ class QueuedTransport:
 
     # ------------------------------------------------------------- stepping
 
-    def _path_rtts(self, paths: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    def _path_rtts(self, padded: np.ndarray) -> np.ndarray:
         """Base RTT plus the live queueing delay along each flow's path."""
-        delay = self.queues.queueing_delay()
-        return self.params.base_rtt + (
-            delay[paths.clip(min=0)] * valid
-        ).sum(axis=1)
+        delay = self._hop_delay
+        self.queues.queueing_delay(out=delay[:-1])
+        return self.params.base_rtt + np.add.reduce(
+            delay.take(padded), axis=1
+        )
+
+    def _pacing_rates(self, state: np.ndarray) -> np.ndarray:
+        """Bytes/s each flow of a gathered state block paces this tick.
+
+        One window per *base* RTT, zero while RTO-stalled.  The live
+        queueing delay feeds the round duration and the RTT/FCT
+        accounting, but not the pacing rate: offered load must stay a
+        direct function of the window sum, so oversubscription
+        manifests as marking and loss at the queue instead of being
+        silently absorbed by delay-throttled senders.
+        """
+        params = self.params
+        stalled = state[_RTO_UNTIL] > self.now + _EPS_TIME
+        return np.where(
+            stalled, 0.0, state[_CWND] * params.mtu_bytes / params.base_rtt
+        )
 
     def _step(self, t_end: float) -> None:
         """Advance one tick (or partial tick) to ``t_end``."""
-        params = self.params
         dt = t_end - self.now
-        active_idx = np.flatnonzero(self._active)
-        arrivals = np.zeros(self.num_links)
-        sent = rtt = paths = valid = None
-        if active_idx.size and dt > 0:
-            paths = self._paths[active_idx]
-            valid = paths >= 0
-            rtt = self._path_rtts(paths, valid)
-            stalled = self._rto_until[active_idx] > self.now + _EPS_TIME
-            # Pace one window per *base* RTT.  The live queueing delay
-            # feeds the round duration and the RTT/FCT accounting, but
-            # not the pacing rate: offered load must stay a direct
-            # function of the window sum, so oversubscription manifests
-            # as marking and loss at the queue instead of being silently
-            # absorbed by delay-throttled senders.
-            rate = np.where(
-                stalled,
-                0.0,
-                self._cwnd[active_idx] * params.mtu_bytes / params.base_rtt,
-            )
-            sent = np.minimum(rate * dt, self._remaining[active_idx])
-            per_link = np.repeat(sent, valid.sum(axis=1))
-            arrivals = np.bincount(
-                paths[valid], weights=per_link, minlength=self.num_links
-            )
+        geometry = self._geometry()
+        active = geometry.slots.size
+        arrivals = self._no_arrivals
+        sent = None
+        if active:
+            state = self._state.take(geometry.slots, axis=1)
+            if dt > 0:
+                if geometry.rtt is None:
+                    geometry.rtt = self._path_rtts(geometry.padded)
+                sent = np.minimum(
+                    self._pacing_rates(state) * dt, state[_REMAINING]
+                )
+                arrivals = np.bincount(
+                    geometry.links,
+                    weights=sent.repeat(geometry.hops),
+                    minlength=self.num_links,
+                )
         serviced, drop_frac, mark_frac = self.queues.step(arrivals, dt)
-        backlog_peak = float(self.queues.backlog_bytes.max(initial=0.0))
-        if backlog_peak > self.peak_queue_bytes:
-            self.peak_queue_bytes = backlog_peak
+        backlog = self.queues.backlog_bytes
+        np.maximum(self._peak_backlog, backlog, out=self._peak_backlog)
         if dt > 0:
-            loaded = np.flatnonzero(serviced)
+            loaded = serviced.nonzero()[0]
             if loaded.size and self.sinks:
                 for sink in self.sinks:
                     sink.add_interval_bulk(
@@ -362,113 +410,123 @@ class QueuedTransport:
                         unique_keys=True,
                     )
             if self._depth_sinks:
-                occupied = np.flatnonzero(self.queues.backlog_bytes)
+                occupied = backlog.nonzero()[0]
                 if occupied.size:
                     for sink in self._depth_sinks:
                         sink.add_queue_depth_bulk(
-                            occupied,
-                            self.queues.backlog_bytes[occupied],
-                            self.now,
-                            t_end,
+                            occupied, backlog[occupied], self.now, t_end,
                         )
+        self.now = t_end
+        self.ticks += 1
+        if not active:
+            return
+        rtt = self._path_rtts(geometry.padded)
         if sent is not None:
             # Per-flow loss / mark probabilities compose multiplicatively
-            # along the path (independent fluid approximation).
-            survive = np.prod(
-                np.where(valid, 1.0 - drop_frac[paths.clip(min=0)], 1.0),
-                axis=1,
-            )
-            unmarked = np.prod(
-                np.where(valid, 1.0 - mark_frac[paths.clip(min=0)], 1.0),
-                axis=1,
+            # along the path, hop by hop (independent fluid approximation).
+            keep = self._hop_keep
+            np.subtract(1.0, drop_frac, out=keep[0, :-1])
+            np.subtract(1.0, mark_frac, out=keep[1, :-1])
+            survive, unmarked = np.multiply.reduce(
+                keep.take(geometry.hop_links, axis=1), axis=1
             )
             delivered = sent * survive
             lost = sent - delivered
-            self._remaining[active_idx] = np.maximum(
-                self._remaining[active_idx] - delivered, 0.0
-            )
-            self._round_sent[active_idx] += sent
-            self._round_lost[active_idx] += lost
-            self._round_marked[active_idx] += delivered * (1.0 - unmarked)
-            self._retx_bytes[active_idx] += lost
-            self._rtt_weighted[active_idx] += rtt * sent
-            self._sent_total[active_idx] += sent
-        self.now = t_end
-        self.ticks += 1
-        if active_idx.size:
-            self._close_due_rounds(active_idx)
-            drained = active_idx[self._remaining[active_idx] <= _EPS_BYTES]
-            for slot in drained:
-                self._finish(int(slot))
+            remaining = state[_REMAINING]
+            np.maximum(remaining - delivered, 0.0, out=remaining)
+            state[_ROUND_SENT : _SENT_TOTAL + 1] += sent
+            state[_ROUND_LOST : _RETX_BYTES + 1] += lost
+            state[_ROUND_MARKED] += delivered * (1.0 - unmarked)
+            state[_RTT_WEIGHTED] += geometry.rtt * sent
+        # The post-step RTT closes this tick's rounds and paces the next
+        # tick, unless a flow starts or finishes in between.
+        geometry.rtt = rtt
+        self._close_due_rounds(state, rtt)
+        self._state[:, geometry.slots] = state
+        for slot in geometry.slots[state[_REMAINING] <= _EPS_BYTES]:
+            self._finish(int(slot))
 
-    def _close_due_rounds(self, active_idx: np.ndarray) -> None:
-        """Apply window transitions for flows whose RTT round elapsed."""
-        params = self.params
-        due = active_idx[self._round_end[active_idx] <= self.now + _EPS_TIME]
+    def _close_due_rounds(self, state: np.ndarray, rtt: np.ndarray) -> None:
+        """Apply window transitions for flows whose RTT round elapsed.
+
+        Works in place on a gathered ``(field, active flow)`` block;
+        ``rtt`` is the active flows' RTT under the current queues.
+        """
+        due = (state[_ROUND_END] <= self.now + _EPS_TIME).nonzero()[0]
         if not due.size:
             return
-        sent = self._round_sent[due]
-        data = due[sent > 0]
-        if data.size:
-            round_sent = self._round_sent[data]
-            round_lost = self._round_lost[data]
-            delivered = np.maximum(round_sent - round_lost, _EPS_BYTES)
-            loss_frac = round_lost / round_sent
-            mark_frac = np.minimum(self._round_marked[data] / delivered, 1.0)
-            timeout = loss_frac >= params.timeout_loss_fraction
-            lossy = (loss_frac > 0) & ~timeout
-            marked = (mark_frac > 0) & ~timeout & ~lossy
-            clean = ~timeout & ~lossy & ~marked
-            if self.impl == "dctcp":
-                self._alpha[data] = dctcp_update_alpha(
-                    self._alpha[data], mark_frac, params.dctcp_gain
-                )
-                cut_idx = data[marked]
-                if cut_idx.size:
-                    self._cwnd[cut_idx] = dctcp_cut(
-                        self._cwnd[cut_idx],
-                        self._alpha[cut_idx],
-                        params.min_cwnd_packets,
-                    )
-                    self._ssthresh[cut_idx] = self._cwnd[cut_idx]
-            elif self.impl == "ecn_taildrop":
-                # Classic ECN: a marked round is treated as a lossy one.
-                lossy = lossy | marked
-            else:  # reno ignores CE marks entirely
-                clean = clean | marked
-            halve_idx = data[lossy]
-            if halve_idx.size:
-                new_cwnd, new_ss = halve(
-                    self._cwnd[halve_idx], params.min_cwnd_packets
-                )
-                self._cwnd[halve_idx] = new_cwnd
-                self._ssthresh[halve_idx] = new_ss
-            grow_idx = data[clean]
-            if grow_idx.size:
-                self._cwnd[grow_idx] = grow(
-                    self._cwnd[grow_idx],
-                    self._ssthresh[grow_idx],
-                    params.max_cwnd_packets,
-                )
-            rto_idx = data[timeout]
-            if rto_idx.size:
-                new_cwnd, new_ss = timeout_collapse(
-                    self._cwnd[rto_idx], params.min_cwnd_packets
-                )
-                self._cwnd[rto_idx] = new_cwnd
-                self._ssthresh[rto_idx] = new_ss
-                self._rto_until[rto_idx] = self.now + params.min_rto
-                self._timeouts[rto_idx] += 1
+        block = state.take(due, axis=1)
+        # Flows that sent nothing this round (RTO-stalled) keep their
+        # window.
+        sent = block[_ROUND_SENT] > 0
+        if sent.all():
+            self._apply_transitions(block)
+        elif sent.any():
+            senders = block[:, sent]
+            self._apply_transitions(senders)
+            block[:, sent] = senders
         # Restart the round clock for every due flow (including idle and
         # RTO-stalled ones — their next round begins when the stall ends).
-        paths = self._paths[due]
-        valid = paths >= 0
-        rtt_now = self._path_rtts(paths, valid)
-        start = np.maximum(self.now, self._rto_until[due])
-        self._round_end[due] = start + rtt_now
-        self._round_sent[due] = 0.0
-        self._round_lost[due] = 0.0
-        self._round_marked[due] = 0.0
+        start = np.maximum(self.now, block[_RTO_UNTIL])
+        block[_ROUND_END] = start + rtt[due]
+        block[_ROUND_SENT] = 0.0
+        block[_ROUND_LOST] = 0.0
+        block[_ROUND_MARKED] = 0.0
+        state[:, due] = block
+
+    def _apply_transitions(self, block: np.ndarray) -> None:
+        """One round's window transition for each flow of ``block``.
+
+        ``block`` holds the state columns of flows that sent data this
+        round.  Each flow takes exactly one transition; each transition
+        is computed for the whole block and copied in where it applies,
+        which is elementwise and so exact.
+        """
+        params = self.params
+        round_sent = block[_ROUND_SENT]
+        round_lost = block[_ROUND_LOST]
+        delivered = np.maximum(round_sent - round_lost, _EPS_BYTES)
+        loss_frac = round_lost / round_sent
+        mark_frac = np.minimum(block[_ROUND_MARKED] / delivered, 1.0)
+        # A timeout is a loss (the threshold is positive); a marked
+        # round is one with marks and no loss; a clean one has neither.
+        loss = loss_frac > 0
+        timeout = loss_frac >= params.timeout_loss_fraction
+        lossy = loss ^ timeout
+        marked = (mark_frac > 0) > loss
+        clean = ~(loss | marked)
+        cwnd = block[_CWND]
+        ssthresh = block[_SSTHRESH]
+        if self.impl == "dctcp":
+            alpha = dctcp_update_alpha(
+                block[_ALPHA], mark_frac, params.dctcp_gain
+            )
+            block[_ALPHA] = alpha
+            if marked.any():
+                cut = dctcp_cut(cwnd, alpha, params.min_cwnd_packets)
+                np.copyto(cwnd, cut, where=marked)
+                np.copyto(ssthresh, cut, where=marked)
+        elif self.impl == "ecn_taildrop":
+            # Classic ECN: a marked round is treated as a lossy one.
+            lossy |= marked
+        else:  # reno ignores CE marks entirely
+            clean |= marked
+        if lossy.any():
+            new_cwnd, new_ss = halve(cwnd, params.min_cwnd_packets)
+            np.copyto(cwnd, new_cwnd, where=lossy)
+            np.copyto(ssthresh, new_ss, where=lossy)
+        if clean.any():
+            np.copyto(
+                cwnd,
+                grow(cwnd, ssthresh, params.max_cwnd_packets),
+                where=clean,
+            )
+        if timeout.any():
+            new_cwnd, new_ss = timeout_collapse(cwnd, params.min_cwnd_packets)
+            np.copyto(cwnd, new_cwnd, where=timeout)
+            np.copyto(ssthresh, new_ss, where=timeout)
+            block[_RTO_UNTIL, timeout] = self.now + params.min_rto
+            block[_TIMEOUTS, timeout] += 1
 
     def advance_to(self, time: float) -> None:
         """Integrate queue and window dynamics up to ``time``."""
@@ -477,7 +535,7 @@ class QueuedTransport:
         tick = self.params.tick
         while time - self.now > _EPS_TIME:
             if (
-                not self._active.any()
+                not self._num_active
                 and self.queues.backlog_bytes.sum() <= _EPS_BYTES
             ):
                 # Idle fabric: no window or queue dynamics to integrate,
@@ -500,7 +558,7 @@ class QueuedTransport:
         see those serviced bytes).  Monotonically increasing because
         ``advance_to`` moves ``now`` to each granted wakeup.
         """
-        if self._active.any() or self.queues.backlog_bytes.sum() > _EPS_BYTES:
+        if self._num_active or self.queues.backlog_bytes.sum() > _EPS_BYTES:
             return self.now + self.params.tick
         return None
 
@@ -508,36 +566,24 @@ class QueuedTransport:
 
     def earliest_active_start(self) -> float | None:
         """Start time of the oldest in-flight flow, or ``None`` if idle."""
-        active_idx = np.flatnonzero(self._active)
-        if active_idx.size == 0:
+        slots = self._geometry().slots
+        if slots.size == 0:
             return None
-        return float(self._start_times[active_idx].min())
+        return float(self._state[_START_TIME, slots].min())
 
     def active_rates(self) -> np.ndarray:
-        """Instantaneous pacing rates (bytes/s) of the in-flight flows."""
-        active_idx = np.flatnonzero(self._active)
-        if active_idx.size == 0:
-            return np.empty(0)
-        paths = self._paths[active_idx]
-        valid = paths >= 0
-        rtt = self._path_rtts(paths, valid)
-        stalled = self._rto_until[active_idx] > self.now + _EPS_TIME
-        return np.where(
-            stalled, 0.0, self._cwnd[active_idx] * self.params.mtu_bytes / rtt
-        )
+        """Pacing rates (bytes/s) the in-flight flows offer next tick."""
+        slots = self._geometry().slots
+        return self._pacing_rates(self._state[:, slots])
 
     def utilization_snapshot(self) -> np.ndarray:
-        """Instantaneous per-link utilisation under current pacing rates."""
-        active_idx = np.flatnonzero(self._active)
-        link_rates = np.zeros(self.num_links)
-        if active_idx.size:
-            paths = self._paths[active_idx]
-            valid = paths >= 0
-            rates = self.active_rates()
-            per_flow = np.repeat(rates, valid.sum(axis=1))
-            link_rates = np.bincount(
-                paths[valid], weights=per_flow, minlength=self.num_links
-            )
+        """Per-link utilisation under the current pacing rates."""
+        geometry = self._geometry()
+        link_rates = np.bincount(
+            geometry.links,
+            weights=np.repeat(self.active_rates(), geometry.hops),
+            minlength=self.num_links,
+        )
         return link_rates / self.capacities
 
     # --------------------------------------------------------------- report

@@ -9,6 +9,8 @@ bins, splitting intervals that straddle bin boundaries exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["BinAccumulator", "split_interval_over_bins"]
@@ -104,20 +106,34 @@ class BinAccumulator:
 
         ``unique_keys=True`` asserts that ``keys`` contains no duplicates,
         allowing fancy-indexed ``+=`` instead of the much slower
-        ``np.add.at`` scatter (the transport sink's keys come from
-        ``np.flatnonzero`` and are always unique).  The additions are the
-        same either way, so the accumulated floats are bit-identical.
+        ``np.add.at`` scatter (the transport sinks pass the indices of
+        nonzero link entries, which are always unique).  The additions
+        are the same either way, so the accumulated floats are
+        bit-identical.
         """
         if keys.shape != rates.shape:
             raise ValueError("keys and rates must have equal shape")
         if keys.size == 0 or end <= start:
             return
-        for bin_index, overlap in split_interval_over_bins(start, end, self.bin_width):
-            self._ensure_bins(bin_index)
+        width = self.bin_width
+        first_bin = math.floor(start / width)
+        if math.ceil(end / width) - 1 == first_bin:
+            # One bin (a queued-transport tick, most fluid intervals):
+            # the same overlap ``split_interval_over_bins`` computes,
+            # without building its list.
+            bin_start = first_bin * width
+            overlap = min(end, bin_start + width) - max(start, bin_start)
+            pieces = [(first_bin, overlap)] if overlap > 0 else []
+        else:
+            pieces = split_interval_over_bins(start, end, width)
+        for bin_index, overlap in pieces:
+            if bin_index > self._max_bin_touched:
+                self._ensure_bins(bin_index)
+            column = self._data[:, bin_index]
             if unique_keys:
-                self._data[keys, bin_index] += rates * overlap
+                column[keys] += rates * overlap
             else:
-                np.add.at(self._data[:, bin_index], keys, rates * overlap)
+                np.add.at(column, keys, rates * overlap)
 
     def totals(self) -> np.ndarray:
         """Per-key totals across all bins."""

@@ -4,14 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SimulationConfig
+from repro.cluster.routing import Router
+from repro.cluster.topology import ClusterSpec, ClusterTopology
+from repro.config import SimulationConfig, WorkloadConfig
+from repro.experiments.cache import dataset_content_hash
+from repro.experiments.common import build_dataset, small_config
 from repro.simulation.cc import (
     CC_VARIANTS,
     CongestionControlConfig,
     LinkQueues,
+    QueuedTransport,
+    incast_config,
     run_incast,
 )
 from repro.simulation.cc.cwnd import (
@@ -22,7 +28,10 @@ from repro.simulation.cc.cwnd import (
     timeout_collapse,
 )
 from repro.simulation.impls import transport_family, transport_impl_names
-from strategies import cc_configs
+from repro.simulation.simulator import simulate
+from repro.simulation.transport import TransferMeta
+from repro.validate import checker_names, validate
+from strategies import cc_configs, fabric_topologies, routing_impls
 
 
 class TestCwnd:
@@ -215,3 +224,153 @@ class TestIncastRegression:
         # reverse — the fixed-threshold trade-off.
         assert low.mean_queue_delay < high.mean_queue_delay
         assert low.goodput_ratio < high.goodput_ratio
+
+
+#: The pinned fabrics (``None``: ``small_config``'s own tree) and the
+#: routing each one runs under.
+_PIN_FABRICS = {
+    "leaf_spine": (
+        ClusterSpec.leaf_spine(racks=4, spines=2, servers_per_rack=4), "ecmp"
+    ),
+    "fat_tree": (ClusterSpec.fat_tree(k=4), "flowlet"),
+    "tree": (None, "single"),
+}
+#: ``(transport_impl, fabric, dataset_content_hash, cc_ticks,
+#: cc_dropped_packets, cc_timeouts)`` of 10 s ``small_config(3)`` runs.
+#: Every variant and every fabric appears twice.
+_PINS = [
+    ("dctcp", "leaf_spine",
+     "c893c4263214fd1effc73f4787e06707adb946e4eb42d80c10fbb672fef683f0",
+     3959.0, 1791.1666666675037, 4.0),
+    ("dctcp", "fat_tree",
+     "bcbcaa0fef925a8726dbb1da131965dd04a157c2e8c9f0884a1506cfbdbc372b",
+     4169.0, 1486.166666667496, 4.0),
+    ("reno", "fat_tree",
+     "ea48f6042dbfb5cf89eb44ed0fd400d5d13e5dff91ee49aacee8f1c40c230f1d",
+     4851.0, 7563.033169234537, 6.0),
+    ("reno", "tree",
+     "8411251ccf0fd296a504cfd079789c1ec608ca5b88b59a54e0e5586f6115364e",
+     4977.0, 9618.382161462621, 6.0),
+    ("ecn_taildrop", "tree",
+     "4575b70069a49f61bbf71e2e8d86bfc1c5c380a8292ad056ec18f5edfc74f79e",
+     3299.0, 0.0, 0.0),
+    ("ecn_taildrop", "leaf_spine",
+     "d2e06540dfa94f1c72d1abc32915716c8a4f32bd346907d51eff41bf4b8fb0c3",
+     4107.0, 241.3333333331441, 0.0),
+]
+
+
+class TestBitIdentityPins:
+    """Exact outputs of the queued tick, so a speed-up cannot drift them.
+
+    The hashes were recorded on Linux x86-64 with Python 3.11 and numpy
+    2.4; another platform or numpy release may round a float sum
+    differently and legitimately change them.
+    """
+
+    @pytest.mark.parametrize(
+        "impl,fabric,digest,ticks,dropped,timeouts", _PINS,
+        ids=[f"{pin[0]}-{pin[1]}" for pin in _PINS],
+    )
+    def test_queued_run_is_bit_identical(
+        self, impl, fabric, digest, ticks, dropped, timeouts
+    ):
+        spec, routing = _PIN_FABRICS[fabric]
+        base = small_config(3)
+        config = replace(
+            base, cluster=spec or base.cluster, transport_impl=impl,
+            routing_impl=routing, duration=10.0,
+        )
+        dataset = build_dataset(config, disk_cache=False)
+        stats = dataset.result.stats
+        assert dataset_content_hash(dataset) == digest
+        assert stats["cc_ticks"] == ticks
+        assert stats["cc_dropped_packets"] == dropped
+        assert stats["cc_timeouts"] == timeouts
+
+
+class TestPacingRate:
+    def test_active_rates_match_the_next_ticks_offered_load(self):
+        """``active_rates`` reports what each flow actually paces into
+        the fabric, even while queues add delay to the live RTT."""
+        config = incast_config("reno", 8)
+        topology = ClusterTopology(config.cluster)
+        transport = QueuedTransport(topology, impl="reno", params=config.cc)
+        router = Router(topology)
+        first_hop = {}
+        for src in list(topology.servers_in_rack(1))[:8]:
+            path = router.path_links(src, 0)
+            slot = transport.add_flow(
+                src, 0, 1e9, path, TransferMeta(kind="incast")
+            )
+            first_hop[slot] = path[0]
+        tick = config.cc.tick
+        transport.advance_to(20 * tick)
+        assert transport.queues.backlog_bytes.max() > 0, "queues never built"
+
+        rates = transport.active_rates()
+        offered = []
+        step = transport.queues.step
+
+        def record(arrivals, dt):
+            offered.append(arrivals.copy() / dt)
+            return step(arrivals, dt)
+
+        transport.queues.step = record
+        transport.advance_to(transport.now + tick)
+        links = [first_hop[slot] for slot in sorted(first_hop)]
+        assert (rates > 0).any()
+        np.testing.assert_allclose(rates, offered[0][links], rtol=1e-12)
+        utilization = transport.utilization_snapshot()
+        np.testing.assert_allclose(
+            utilization[links], rates / topology.capacities[links],
+            rtol=1e-12,
+        )
+
+
+#: Checkers a queued run on any fabric must run and pass.
+_SWEEP_REQUIRED = (
+    "transport.queue_conservation",
+    "routing.path_consistency",
+    *(
+        name for name in checker_names()
+        if name.startswith(("linkloads.", "bytes."))
+    ),
+)
+
+
+class TestQueuedInvariantSweep:
+    """Queued transports over the whole fabric × routing × variant matrix.
+
+    Short campaigns (2 s of simulated time) under arbitrary valid
+    congestion-control parameters, each validated end to end.
+    """
+
+    @pytest.mark.parametrize("variant", CC_VARIANTS)
+    @settings(max_examples=20)
+    @given(
+        topology=fabric_topologies(),
+        routing=routing_impls(),
+        cc=cc_configs(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_queued_run_keeps_every_invariant(
+        self, variant, topology, routing, cc, seed
+    ):
+        config = SimulationConfig(
+            cluster=topology.spec,
+            workload=WorkloadConfig(job_arrival_rate=2.0),
+            duration=2.0,
+            seed=seed,
+            transport_impl=variant,
+            routing_impl=routing,
+            cc=cc,
+        )
+        report = validate(simulate(config))
+        status = {result.name: result.status for result in report.results}
+        violated = [name for name, state in status.items()
+                    if state == "violation"]
+        assert not violated, report.violations[0].message
+        assert {name: status[name] for name in _SWEEP_REQUIRED} == {
+            name: "ok" for name in _SWEEP_REQUIRED
+        }

@@ -131,3 +131,30 @@ class TestBinAccumulator:
             acc.add_interval(0, start, start + length, rate)
             expected += rate * length
         assert acc.totals()[0] == pytest.approx(expected, rel=1e-9, abs=1e-6)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=20),
+                st.floats(min_value=1e-6, max_value=1.5),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_matches_per_key_intervals_exactly(self, intervals, unique):
+        """One-bin and bin-straddling bulk intervals add the same floats
+        in the same order as :meth:`add_interval`, key by key."""
+        keys = np.array([0, 2, 3]) if unique else np.array([1, 1, 3])
+        rates = np.array([1.5e6, 3.0e-3, 7.0])
+        bulk = BinAccumulator(num_keys=4, bin_width=0.5)
+        reference = BinAccumulator(num_keys=4, bin_width=0.5)
+        for start, length in intervals:
+            bulk.add_interval_bulk(
+                keys, rates, start, start + length, unique_keys=unique
+            )
+            for key, rate in zip(keys, rates):
+                reference.add_interval(int(key), start, start + length, rate)
+        assert np.array_equal(bulk.matrix(), reference.matrix())
