@@ -129,6 +129,7 @@ def _write_bench_json(directory: pathlib.Path) -> None:
             id=nodeid,
             wall_seconds=timing.best,
             mean_seconds=timing.mean,
+            median_seconds=timing.median,
             rounds=timing.rounds,
             iterations=timing.iterations,
         )

@@ -8,7 +8,8 @@ Schema (version 2)::
                "cpu_count": ..., "timestamp": ...},
       "benchmarks": [
         {"id": "<pytest nodeid>", "wall_seconds": <best per-call s>,
-         "mean_seconds": ..., "rounds": ..., "iterations": ...},
+         "mean_seconds": ..., "median_seconds": ..., "rounds": ...,
+         "iterations": ...},
         ...
       ],
       ...                                # extra keys pass through
@@ -42,6 +43,7 @@ class BenchResult:
     id: str
     wall_seconds: float
     mean_seconds: float | None = None
+    median_seconds: float | None = None
     rounds: int | None = None
     iterations: int | None = None
 
@@ -91,6 +93,7 @@ def load_results(path: str | pathlib.Path) -> dict[str, BenchResult]:
             id=entry["id"],
             wall_seconds=float(entry["wall_seconds"]),
             mean_seconds=entry.get("mean_seconds"),
+            median_seconds=entry.get("median_seconds"),
             rounds=entry.get("rounds"),
             iterations=entry.get("iterations"),
         )

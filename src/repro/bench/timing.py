@@ -12,11 +12,12 @@ comparable across files and runs:
   deterministic workload the minimum is the least-noise estimate of the
   code's cost; means and maxima mostly measure the machine's background
   load (Chen & Revels, "Robust benchmarking in noisy environments",
-  2016).
+  2016).  The median is kept for benchmarks with few long rounds.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -34,6 +35,8 @@ class Timing:
     mean: float
     #: Maximum mean-per-call seconds across rounds.
     worst: float
+    #: Median mean-per-call seconds across rounds.
+    median: float
     rounds: int
     iterations: int
     #: Total measured wall time (excludes warmup).
@@ -74,6 +77,7 @@ def measure(
         best=min(per_round),
         mean=sum(per_round) / len(per_round),
         worst=max(per_round),
+        median=statistics.median(per_round),
         rounds=rounds,
         iterations=iterations,
         total=sum(t * iterations for t in per_round),

@@ -21,10 +21,12 @@ bit-identical adaptive heap/CSR replay), ``csr`` (the batched CSR
 elimination pinned regardless of active-set size), and ``incremental``
 (the paper-scale allocator that re-solves only the affected bottleneck
 subgraph on each arrival/departure — tolerance-based, see
-:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).  The active
-set's ``(paths, valid)`` view and the allocator's incidence structures
-are cached against a flow-set version counter so consecutive allocation
-passes over an unchanged active set skip the rebuild.
+:data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`).  Under
+``vectorized`` the heap regime's :class:`~repro.simulation.waterfill.MaxMinState`
+persists across solves and changes only where the active set does
+(``add_flow``, ``_finish``, ``reroute_flow``); the active set's
+``(paths, valid)`` view and the CSR regime's incidence arrays are cached
+against a flow-set version counter.
 
 Completion scheduling is structure-of-arrays: instead of per-transfer
 event objects, the transport keeps a **completion frontier** — the next
@@ -48,9 +50,11 @@ from .impls import register_transport_impl
 from .waterfill import (
     FlowIncidence,
     IncrementalMaxMin,
+    MaxMinState,
     bottleneck_rates,
     maxmin_rates_reference,
     maxmin_rates_vectorized,
+    uses_csr,
 )
 
 __all__ = ["TransferMeta", "Transfer", "FluidTransport", "LoadSink"]
@@ -177,7 +181,7 @@ class FluidTransport:
         self.now = 0.0
         self.rates_dirty = False
         #: Bumped whenever the active flow set changes; keys the cached
-        #: active view and the allocator's incidence structures.
+        #: active view and the CSR regime's incidence arrays.
         self._flows_version = 0
         self._view_version = -1
         self._view: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -190,6 +194,9 @@ class FluidTransport:
         self.rate_recomputes = 0
         self.peak_active = 0
 
+        #: Slot-indexed heap-regime state (``impl="vectorized"`` only).
+        self._heap = MaxMinState(self.capacities, size) if (
+            impl == "vectorized" and fairness == "maxmin") else None
         #: Incremental allocator state (``impl="incremental"`` only).
         self._inc: IncrementalMaxMin | None = (
             IncrementalMaxMin(self.capacities, self.num_links)
@@ -228,6 +235,8 @@ class FluidTransport:
         self._meta.extend([None] * old)
         self._on_complete.extend([None] * old)
         self._free_slots.extend(range(new - 1, old - 1, -1))
+        if self._heap is not None:
+            self._heap.grow(new)
 
     @property
     def active_count(self) -> int:
@@ -270,6 +279,8 @@ class FluidTransport:
         self._dst[slot] = dst
         self._sizes[slot] = size
         self._start_times[slot] = self.now
+        if self._heap is not None:
+            self._heap.add(slot, self._paths[slot, : len(path_links)].tolist())
         if self._inc is not None:
             self._inc.on_add(slot, path_links)
         self.rates_dirty = True
@@ -286,9 +297,10 @@ class FluidTransport:
         Bytes already moved were integrated on the old path by the last
         ``advance_to``; callers re-routing mid-epoch must advance the
         transport to the switching instant first so per-link byte
-        conservation holds across the change.  The flow-set version
-        bumps, invalidating the cached incidence structures, and rates
-        are marked dirty for the next allocation pass.
+        conservation holds across the change.  The allocator state moves
+        the flow to its new links, the flow-set version bumps,
+        invalidating the cached active view, and rates are marked dirty
+        for the next allocation pass.
         """
         if not 0 <= slot < self._paths.shape[0] or not self._active[slot]:
             raise ValueError(f"slot {slot} has no active flow")
@@ -300,6 +312,9 @@ class FluidTransport:
             self._inc.on_remove(slot)
         self._paths[slot, :] = -1
         self._paths[slot, : len(path_links)] = path_links
+        if self._heap is not None:
+            self._heap.remove(slot)
+            self._heap.add(slot, self._paths[slot, : len(path_links)].tolist())
         if self._inc is not None:
             self._inc.on_add(slot, tuple(path_links))
         self.rates_dirty = True
@@ -364,6 +379,8 @@ class FluidTransport:
         )
         self._completed_buffer.append((transfer, self._on_complete[slot]))
         self._next_transfer_id += 1
+        if self._heap is not None:
+            self._heap.remove(slot)
         if self._inc is not None:
             self._inc.on_remove(slot)
         self._active[slot] = False
@@ -402,15 +419,13 @@ class FluidTransport:
         self.rates_dirty = False
 
     def _flow_incidence(self, paths: np.ndarray, valid: np.ndarray) -> FlowIncidence:
-        """Incidence structures for the current active set, version-cached."""
+        """CSR incidence arrays for the current active set, version-cached."""
         if (
             self._incidence_version != self._flows_version
             or self._incidence is None
             or self._incidence.paths is not paths
         ):
-            self._incidence = FlowIncidence(
-                paths, valid, self.capacities, self.num_links
-            )
+            self._incidence = FlowIncidence(paths, valid, self.num_links)
             self._incidence_version = self._flows_version
         return self._incidence
 
@@ -423,8 +438,11 @@ class FluidTransport:
         ``reference``, ``vectorized``, and ``csr`` produce bit-identical
         rates; ``incremental`` re-solves only the affected bottleneck
         subgraph and is equivalent within
-        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.
+        :data:`~repro.simulation.waterfill.INCREMENTAL_RTOL`.  Below the
+        CSR threshold ``vectorized`` solves from its persistent state.
         """
+        if self._heap is not None and not uses_csr(active_idx.size):
+            return self._heap.solve(active_idx, self._paths)
         if self.impl == "reference":
             return maxmin_rates_reference(
                 paths, valid, self.capacities, self.num_links

@@ -57,11 +57,13 @@ holds the three interchangeable implementations:
     the ``transport.incremental_equivalence`` checker in
     :mod:`repro.validate`.
 
-The :class:`FlowIncidence` cache holds the per-active-set structures
-(flat incidence arrays, link->flow adjacency, initial shares) keyed by
-the transport's flow-set version, so back-to-back recomputations — e.g.
-a barrier phase releasing shuffle flows over several event batches —
-skip the rebuild.
+The heap regime's input is a :class:`MaxMinState`: per-link contender
+counts and first-round shares plus link<->flow adjacency.  The transport
+keeps one across solves and updates it per flow arrival, departure and
+reroute, so a solve over a changed active set rebuilds nothing; one-off
+calls build a throwaway state from their rows.  :class:`FlowIncidence`
+holds the flat incidence arrays only the CSR regime and the incremental
+allocator read, cached by the transport against its flow-set version.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ __all__ = [
     "FlowIncidence",
     "IncrementalMaxMin",
     "INCREMENTAL_RTOL",
+    "MaxMinState",
     "bottleneck_rates",
     "maxmin_rates_reference",
     "maxmin_rates_vectorized",
+    "uses_csr",
 ]
 
 #: Relative width within which links saturate together during one
@@ -167,82 +171,183 @@ def maxmin_rates_reference(
 
 
 class FlowIncidence:
-    """Per-active-set structures shared across recomputations.
+    """Flat incidence arrays of an active set, for the CSR regime.
 
-    Everything here is a pure function of ``(paths, valid, capacities)``;
-    the transport caches an instance keyed by its flow-set version so
-    consecutive allocation passes over an unchanged active set skip the
-    rebuild.  The Python adjacency lists used by the heap regime are
-    built lazily — the CSR regime never pays for them.
+    Everything here is a pure function of ``(paths, valid)``; the
+    transport caches an instance keyed by its flow-set version for the
+    batched elimination and the incremental allocator's full solves.
     """
 
-    __slots__ = (
-        "paths",
-        "valid",
-        "num_flows",
-        "lens",
-        "flat",
-        "counts0",
-        "_cap_list",
-        "_share0_list",
-        "_heap0",
-        "_flow_links",
-        "_link_flows",
-    )
+    __slots__ = ("paths", "lens", "flat", "counts0")
 
     def __init__(
-        self, paths: np.ndarray, valid: np.ndarray, capacities: np.ndarray,
-        num_links: int,
+        self, paths: np.ndarray, valid: np.ndarray, num_links: int
     ) -> None:
         self.paths = paths
-        self.valid = valid
-        self.num_flows = paths.shape[0]
         self.lens = valid.sum(axis=1)
         self.flat = paths[valid]
         self.counts0 = np.bincount(self.flat, minlength=num_links).astype(float)
-        self._cap_list: list[float] | None = None
-        self._share0_list: list[float] | None = None
-        self._heap0: list[tuple[float, int]] | None = None
-        self._flow_links: list[list[int]] | None = None
-        self._link_flows: list[list[int]] | None = None
 
-    def heap_state(
-        self, capacities: np.ndarray, num_links: int
-    ) -> tuple[list, list, list, list, list, list]:
-        """Fresh per-call state for the heap regime (lists are copied)."""
-        if self._flow_links is None:
-            share0 = np.full(num_links, _INF)
-            np.divide(
-                capacities, self.counts0, out=share0, where=self.counts0 > 0
+
+class MaxMinState:
+    """The heap regime's input: per-link contender ``counts`` (floats, as
+    the rounds use them), first-round ``shares`` (``capacity / count``,
+    infinite on idle links), the ``loaded`` links, and link<->flow
+    adjacency.  Flows are integer ids below ``size`` (the transport's
+    slots, or row numbers for a one-off solve).  :meth:`add` and
+    :meth:`remove` touch only one path's links, so a caller that keeps
+    an instance across solves pays per flow arrival and departure, not
+    per solve.
+    """
+
+    __slots__ = ("capacities", "counts", "shares", "loaded", "link_flows",
+                 "flow_links")
+
+    def __init__(self, capacities: np.ndarray, size: int) -> None:
+        self.capacities = np.asarray(capacities, dtype=float).tolist()
+        num_links = len(self.capacities)
+        self.counts = [0.0] * num_links
+        self.shares = [_INF] * num_links
+        self.loaded: set[int] = set()
+        self.link_flows: list[set[int]] = [set() for _ in range(num_links)]
+        self.flow_links: list[list[int]] = [[] for _ in range(size)]
+
+    @classmethod
+    def from_rows(
+        cls, paths: np.ndarray, valid: np.ndarray, capacities: np.ndarray
+    ) -> "MaxMinState":
+        """A state whose flow ``i`` is row ``i`` of ``paths``."""
+        state = cls(capacities, paths.shape[0])
+        for flow, (row, length) in enumerate(
+            zip(paths.tolist(), valid.sum(axis=1).tolist())
+        ):
+            state.add(flow, row[:length])
+        return state
+
+    def grow(self, size: int) -> None:
+        """Make room for flow ids below ``size``."""
+        self.flow_links.extend([] for _ in range(size - len(self.flow_links)))
+
+    def add(self, flow: int, links: list[int]) -> None:
+        """Start flow ``flow`` on ``links``."""
+        self.flow_links[flow] = links
+        counts = self.counts
+        for link in links:
+            count = counts[link] + 1.0
+            counts[link] = count
+            self.shares[link] = self.capacities[link] / count
+            self.link_flows[link].add(flow)
+            self.loaded.add(link)
+
+    def remove(self, flow: int) -> None:
+        """Take flow ``flow`` off its links."""
+        counts = self.counts
+        for link in self.flow_links[flow]:
+            count = counts[link] - 1.0
+            counts[link] = count
+            self.link_flows[link].discard(flow)
+            if count > 0.0:
+                self.shares[link] = self.capacities[link] / count
+            else:
+                self.shares[link] = _INF
+                self.loaded.discard(link)
+        self.flow_links[flow] = []
+
+    def solve(self, ids: np.ndarray, paths: np.ndarray) -> np.ndarray:
+        """Heap-driven replay of the reference rounds, all in Python.
+
+        ``ids`` lists every flow in the state in ascending order and
+        ``paths`` holds their ``-1``-padded rows indexed by id; the
+        result is the rate of each of ``ids``.  A lazy min-heap of
+        ``(share, link)`` supplies each round's level and its saturated
+        links *in increasing share order* — so the first saturated link
+        that reaches a flow is that flow's tightest saturated link, and
+        the flow's rate is read off directly.  Stale heap entries (links
+        whose share has since changed) are discarded on pop by comparing
+        against the live share table.  Pop order depends only on the
+        ``(share, link)`` tuples, never on push order.  Per-link
+        consumption is accumulated in increasing id order — the row
+        order of the reference's ``np.bincount`` — and applied once per
+        round, so the floating-point results are identical.
+        """
+        counts = list(self.counts)
+        remaining = list(self.capacities)
+        share = list(self.shares)
+        heap = [(share[link], link) for link in self.loaded]
+        heapify(heap)
+        flow_links = self.flow_links
+        link_flows = self.link_flows
+        rates_out = [0.0] * len(flow_links)
+        unassigned = [True] * len(flow_links)
+        num_unassigned = ids.size
+        rounds_left = len(counts) + 1
+        pop = heappop
+        push = heappush
+        while rounds_left > 0 and num_unassigned > 0:
+            rounds_left -= 1
+            while heap:
+                level, link = heap[0]
+                if share[link] == level:
+                    break
+                pop(heap)
+            if not heap:
+                break
+            thresh = heap[0][0] * (1.0 + _LEVEL_GROUPING)
+            cand: list[int] = []
+            append = cand.append
+            while heap:
+                s, link = heap[0]
+                if s > thresh:
+                    break
+                pop(heap)
+                if share[link] == s:
+                    for flow in link_flows[link]:
+                        if unassigned[flow]:
+                            unassigned[flow] = False
+                            rates_out[flow] = s
+                            append(flow)
+            if not cand:
+                break
+            cand.sort()
+            num_unassigned -= len(cand)
+            consumed: dict[int, float] = {}
+            cget = consumed.get
+            for flow in cand:
+                rate = rates_out[flow]
+                for link in flow_links[flow]:
+                    counts[link] -= 1.0
+                    total = cget(link)
+                    consumed[link] = rate if total is None else total + rate
+            for link, total in consumed.items():
+                left = remaining[link] - total
+                if left < 0.0:
+                    left = 0.0
+                remaining[link] = left
+                count = counts[link]
+                if count > 0.0:
+                    s = left / count
+                    share[link] = s
+                    push(heap, (s, link))
+                else:
+                    share[link] = _INF
+        rates = np.array(rates_out)[ids]
+        if num_unassigned > 0:
+            left_over = np.array(unassigned)[ids]
+            rem = paths[ids[left_over]]
+            rates[left_over] = bottleneck_rates(
+                rem, rem >= 0, np.array(self.capacities), len(counts)
             )
-            share0_list = share0.tolist()
-            heap0 = [(s, l) for l, s in enumerate(share0_list) if s < _INF]
-            heapify(heap0)
-            flow_links: list[list[int]] = []
-            link_flows: list[list[int]] = [[] for _ in range(num_links)]
-            rows = self.paths.tolist()
-            lens = self.lens.tolist()
-            for flow, row in enumerate(rows):
-                links = row[: lens[flow]]
-                flow_links.append(links)
-                for link in links:
-                    link_flows[link].append(flow)
-            self._cap_list = capacities.astype(float).tolist()
-            self._share0_list = share0_list
-            self._heap0 = heap0
-            self._flow_links = flow_links
-            self._link_flows = link_flows
-        return (
-            self.counts0.tolist(),
-            list(self._cap_list),
-            list(self._share0_list),
-            list(self._heap0),
-            self._flow_links,
-            self._link_flows,
-        )
+        return rates
 
 
 # --------------------------------------------------------------- vectorized
+
+
+def uses_csr(num_flows: int, regime: str = "auto") -> bool:
+    """Whether the vectorized allocator takes the batched CSR regime."""
+    return regime == "csr" or (
+        regime == "auto" and num_flows >= _CSR_FLOW_THRESHOLD
+    )
 
 
 def maxmin_rates_vectorized(
@@ -256,109 +361,23 @@ def maxmin_rates_vectorized(
     """Bit-identical fast replay of :func:`maxmin_rates_reference`.
 
     Dispatches between the heap regime (small active sets, Python
-    rounds) and the CSR regime (large active sets, batched NumPy
-    elimination) on ``_CSR_FLOW_THRESHOLD``; both produce the exact
-    floats of the reference loop, so the choice never shows up in an
-    event log.  ``regime`` forces one path ("heap" or "csr") — that is
-    how ``transport_impl = "csr"`` pins the batched elimination for
+    rounds over a :class:`MaxMinState` built from the rows) and the CSR
+    regime (large active sets, batched NumPy elimination) on
+    ``_CSR_FLOW_THRESHOLD``; both produce the exact floats of the
+    reference loop, so the choice never shows up in an event log.
+    ``regime`` forces one path ("heap" or "csr") — that is how
+    ``transport_impl = "csr"`` pins the batched elimination for
     differential tests regardless of the active-set size.
     """
-    if paths.shape[0] == 0:
-        return np.zeros(0)
-    if incidence is None:
-        incidence = FlowIncidence(paths, valid, capacities, num_links)
-    if regime == "csr" or (
-        regime == "auto" and incidence.num_flows >= _CSR_FLOW_THRESHOLD
-    ):
-        return _maxmin_csr(paths, valid, capacities, num_links, incidence)
-    return _maxmin_heap(paths, valid, capacities, num_links, incidence)
-
-
-def _maxmin_heap(
-    paths: np.ndarray,
-    valid: np.ndarray,
-    capacities: np.ndarray,
-    num_links: int,
-    incidence: FlowIncidence,
-) -> np.ndarray:
-    """Heap-driven replay of the reference rounds, all in Python.
-
-    A lazy min-heap of ``(share, link)`` supplies each round's level and
-    its saturated links *in increasing share order* — so the first
-    saturated link that reaches a flow is that flow's tightest saturated
-    link, and the flow's rate is read off directly.  Stale heap entries
-    (links whose share has since changed) are discarded on pop by
-    comparing against the live share table.  Per-link consumption is
-    accumulated in increasing flow order and applied once per round,
-    matching the reference's ``np.bincount`` summation order so the
-    floating-point results are identical.
-    """
     num_flows = paths.shape[0]
-    counts, remaining, share, heap, flow_links, link_flows = (
-        incidence.heap_state(capacities, num_links)
-    )
-    rates_out = [0.0] * num_flows
-    unassigned = [True] * num_flows
-    num_unassigned = num_flows
-    rounds_left = num_links + 1
-    pop = heappop
-    push = heappush
-    while rounds_left > 0 and num_unassigned > 0:
-        rounds_left -= 1
-        while heap:
-            level, link = heap[0]
-            if share[link] == level:
-                break
-            pop(heap)
-        if not heap:
-            break
-        thresh = heap[0][0] * (1.0 + _LEVEL_GROUPING)
-        cand: list[int] = []
-        append = cand.append
-        while heap:
-            s, link = heap[0]
-            if s > thresh:
-                break
-            pop(heap)
-            if share[link] == s:
-                for flow in link_flows[link]:
-                    if unassigned[flow]:
-                        unassigned[flow] = False
-                        rates_out[flow] = s
-                        append(flow)
-        if not cand:
-            break
-        cand.sort()
-        num_unassigned -= len(cand)
-        consumed: dict[int, float] = {}
-        cget = consumed.get
-        for flow in cand:
-            rate = rates_out[flow]
-            for link in flow_links[flow]:
-                counts[link] -= 1.0
-                total = cget(link)
-                consumed[link] = rate if total is None else total + rate
-        for link, total in consumed.items():
-            left = remaining[link] - total
-            if left < 0.0:
-                left = 0.0
-            remaining[link] = left
-            count = counts[link]
-            if count > 0.0:
-                s = left / count
-                share[link] = s
-                push(heap, (s, link))
-            else:
-                share[link] = _INF
-    rates = np.array(rates_out)
-    if num_unassigned > 0:
-        rem = np.array(
-            [f for f in range(num_flows) if unassigned[f]], dtype=np.int64
-        )
-        rates[rem] = bottleneck_rates(
-            paths[rem], valid[rem], capacities, num_links
-        )
-    return rates
+    if num_flows == 0:
+        return np.zeros(0)
+    if uses_csr(num_flows, regime):
+        if incidence is None:
+            incidence = FlowIncidence(paths, valid, num_links)
+        return _maxmin_csr(paths, valid, capacities, num_links, incidence)
+    state = MaxMinState.from_rows(paths, valid, capacities)
+    return state.solve(np.arange(num_flows), paths)
 
 
 def _maxmin_csr(

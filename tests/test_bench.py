@@ -34,6 +34,7 @@ class TestMeasure:
     def test_best_is_minimum_of_rounds(self):
         result, timing = measure(lambda: None, rounds=5)
         assert timing.best <= timing.mean <= timing.worst
+        assert timing.best <= timing.median <= timing.worst
         assert timing.total > 0
 
     def test_kwargs_forwarded(self):
@@ -54,13 +55,14 @@ class TestResultsFile:
         path = tmp_path / "BENCH_x.json"
         write_results(path, [
             BenchResult(id="b::one", wall_seconds=0.5, mean_seconds=0.6,
-                        rounds=3, iterations=1),
+                        median_seconds=0.55, rounds=3, iterations=1),
             BenchResult(id="b::two", wall_seconds=1.5),
         ])
         loaded = load_results(path)
         assert set(loaded) == {"b::one", "b::two"}
         assert loaded["b::one"].wall_seconds == 0.5
         assert loaded["b::one"].rounds == 3
+        assert loaded["b::one"].median_seconds == 0.55
         assert loaded["b::two"].mean_seconds is None
 
     def test_host_metadata_recorded(self, tmp_path):

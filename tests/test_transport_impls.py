@@ -21,8 +21,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cluster.topology import ClusterSpec
 from repro.core.congestion import find_episodes
 from repro.core.flows import reconstruct_flows
+from repro.experiments.cache import dataset_content_hash
+from repro.experiments.common import build_dataset, small_config
 from repro.simulation.simulator import simulate
 from repro.trace.analyze import _flow_tables_equal
 
@@ -117,3 +120,59 @@ def test_incremental_tracks_reference_within_tolerance(index, config):
     bytes_inc = result_inc.link_loads.byte_matrix().sum()
     bytes_ref = result_ref.link_loads.byte_matrix().sum()
     assert bytes_inc == pytest.approx(bytes_ref, rel=0.05)
+
+
+#: The pinned fabrics (``None``: ``small_config``'s own tree) and the
+#: routing each one runs under.
+_PIN_FABRICS = {
+    "leaf_spine": (
+        ClusterSpec.leaf_spine(racks=4, spines=2, servers_per_rack=4), "ecmp"
+    ),
+    "fat_tree": (ClusterSpec.fat_tree(k=4), "flowlet"),
+    "tree": (None, "single"),
+}
+#: ``(transport_impl, fabric, dataset_content_hash, rate_recomputes,
+#: transfers_completed)`` of 10 s ``small_config(3)`` fluid runs.
+_PINS = [
+    ("vectorized", "tree",
+     "419a1e219c7220ab38c0f865c539ab7702f41b33a4533862bd5502e62aef1d24",
+     65.0, 75.0),
+    ("vectorized", "fat_tree",
+     "45724a418269c930d8f658404c28517f15aee348cba583be27ffad7a78521d63",
+     50.0, 60.0),
+    ("vectorized", "leaf_spine",
+     "1ddd5b42f504aba102b2c41f16a3256a8924ac6fe1f0fef33eecef18a7662ac6",
+     50.0, 60.0),
+    ("csr", "tree",
+     "419a1e219c7220ab38c0f865c539ab7702f41b33a4533862bd5502e62aef1d24",
+     65.0, 75.0),
+]
+
+
+class TestBitIdentityPins:
+    """Exact outputs of fluid runs, so an allocator speed-up cannot
+    drift them.
+
+    The hashes were recorded on Linux x86-64 with Python 3.11 and numpy
+    2.4; another platform or numpy release may round a float sum
+    differently and legitimately change them.
+    """
+
+    @pytest.mark.parametrize(
+        "impl,fabric,digest,recomputes,completed", _PINS,
+        ids=[f"{pin[0]}-{pin[1]}" for pin in _PINS],
+    )
+    def test_fluid_run_is_bit_identical(
+        self, impl, fabric, digest, recomputes, completed
+    ):
+        spec, routing = _PIN_FABRICS[fabric]
+        base = small_config(3)
+        config = dataclasses.replace(
+            base, cluster=spec or base.cluster, transport_impl=impl,
+            routing_impl=routing, duration=10.0,
+        )
+        dataset = build_dataset(config, disk_cache=False)
+        stats = dataset.result.stats
+        assert dataset_content_hash(dataset) == digest
+        assert stats["rate_recomputes"] == recomputes
+        assert stats["transfers_completed"] == completed

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.routing import Router
 from repro.cluster.topology import ClusterSpec, ClusterTopology
@@ -18,12 +20,14 @@ from repro.simulation import waterfill
 from repro.simulation.transport import FluidTransport, TransferMeta
 from repro.simulation.waterfill import (
     FlowIncidence,
+    MaxMinState,
     _maxmin_csr,
-    _maxmin_heap,
     bottleneck_rates,
     maxmin_rates_reference,
     maxmin_rates_vectorized,
 )
+
+from strategies import fabric_topologies
 
 _META = TransferMeta(kind="fetch")
 
@@ -65,9 +69,11 @@ class TestAllocatorEquivalence:
         for _ in range(10):
             num_flows = int(rng.integers(2, 300))
             paths, valid, caps, num_links = _random_problem(rng, num_flows)
-            incidence = FlowIncidence(paths, valid, caps, num_links)
+            incidence = FlowIncidence(paths, valid, num_links)
             expected = maxmin_rates_reference(paths, valid, caps, num_links)
-            heap = _maxmin_heap(paths, valid, caps, num_links, incidence)
+            heap = maxmin_rates_vectorized(
+                paths, valid, caps, num_links, regime="heap"
+            )
             csr = _maxmin_csr(paths, valid, caps, num_links, incidence)
             assert np.array_equal(expected, heap)
             assert np.array_equal(expected, csr)
@@ -98,19 +104,23 @@ class TestAllocatorEquivalence:
         assert np.array_equal(rates, np.array([40.0]))
 
     def test_incidence_reuse_is_pure(self):
-        """Repeated allocation through one cached incidence instance
-        returns identical results — the per-call state must be copied,
-        never mutated in place."""
+        """Repeated allocation through one cached incidence instance, or
+        one persistent heap state, returns identical results — the
+        per-call state must be copied, never mutated in place."""
         rng = np.random.default_rng(11)
         paths, valid, caps, num_links = _random_problem(rng, 120)
-        incidence = FlowIncidence(paths, valid, caps, num_links)
+        incidence = FlowIncidence(paths, valid, num_links)
         first = maxmin_rates_vectorized(
-            paths, valid, caps, num_links, incidence=incidence
+            paths, valid, caps, num_links, incidence=incidence, regime="csr"
         )
         second = maxmin_rates_vectorized(
-            paths, valid, caps, num_links, incidence=incidence
+            paths, valid, caps, num_links, incidence=incidence, regime="csr"
         )
         assert np.array_equal(first, second)
+        state = MaxMinState.from_rows(paths, valid, caps)
+        ids = np.arange(paths.shape[0])
+        assert np.array_equal(state.solve(ids, paths), first)
+        assert np.array_equal(state.solve(ids, paths), first)
 
 
 class TestTransportIntegration:
@@ -191,3 +201,87 @@ class TestTransportIntegration:
         assert np.array_equal(
             transport._rates[active_idx], np.maximum(expected, 1.0)
         )
+
+
+# ------------------------------------------------ persistent heap state
+
+#: One step of a transport's life: ``("add", src, dst, size, n)`` (``n``
+#: arrivals at once), ``("drain",)`` (run to the next completion),
+#: ``("finish", flow)`` (drain one chosen flow now) or
+#: ``("reroute", flow, path)``.  The integer picks are taken modulo the
+#: live endpoints, flows and equal-cost paths, so every sequence applies
+#: to any topology.
+_PICK = st.integers(min_value=0, max_value=2**16)
+_TRANSPORT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _PICK, _PICK,
+                  st.floats(min_value=1e3, max_value=1e9),
+                  st.integers(min_value=1, max_value=12)),
+        st.tuples(st.just("drain")),
+        st.tuples(st.just("finish"), _PICK),
+        st.tuples(st.just("reroute"), _PICK, _PICK),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _assert_matches_reference(transport: FluidTransport) -> None:
+    """Live rates and the persistent state against a from-scratch solve."""
+    active_idx, paths, valid = transport._active_view()
+    expected = maxmin_rates_reference(
+        paths, valid, transport.capacities, transport.num_links
+    )
+    assert np.array_equal(
+        transport._rates[active_idx], np.maximum(expected, 1.0)
+    )
+    state = transport._heap
+    counts = np.bincount(paths[valid], minlength=transport.num_links)
+    assert np.array_equal(np.array(state.counts), counts)
+    assert state.loaded == set(np.flatnonzero(counts).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(topology=fabric_topologies(), ops=_TRANSPORT_OPS)
+def test_persistent_state_matches_reference_over_interleavings(
+    topology, ops
+):
+    """The ``vectorized`` transport's max-min state is kept across
+    solves and updated only by ``add_flow``, ``_finish`` and
+    ``reroute_flow``.  Over any interleaving of those — with 16 initial
+    slots, so the slot arrays grow and freed slots are reused — every
+    solve equals the reference bit for bit, and the per-link counts
+    equal a fresh ``bincount`` of the active paths."""
+    router = Router(topology)
+    transport = FluidTransport(topology, initial_capacity=16)
+    endpoints = topology.endpoints()
+    for op in ops:
+        live = np.flatnonzero(transport._active)
+        if op[0] == "add":
+            for i in range(op[4]):
+                src = int(endpoints[(op[1] + i) % len(endpoints)])
+                others = [int(e) for e in endpoints if e != src]
+                dst = others[(op[2] + 7 * i) % len(others)]
+                choices = router.equal_cost_paths(src, dst)
+                transport.add_flow(
+                    src, dst, op[3] * (i + 1), choices[i % len(choices)],
+                    _META,
+                )
+        elif not live.size:
+            continue
+        elif op[0] == "drain":
+            horizon = transport.next_completion_time()
+            if horizon is not None:
+                transport.advance_to(horizon)
+        elif op[0] == "finish":
+            transport._remaining[live[op[1] % live.size]] = 0.0
+            transport.advance_to(transport.now)
+        else:
+            slot = int(live[op[1] % live.size])
+            choices = router.equal_cost_paths(
+                int(transport._src[slot]), int(transport._dst[slot])
+            )
+            transport.reroute_flow(slot, choices[op[2] % len(choices)])
+        transport.pop_completed()
+        transport.recompute_rates()
+        _assert_matches_reference(transport)
